@@ -149,8 +149,25 @@ func openLoop(cl *client, ref *reference, rate float64, n, conns int) []reply {
 	return out
 }
 
-// serveRun is serve-score: set-up is training plus server start; the timed
-// phase is the open-loop score schedule.
+// cycleP95 is the median, over the whole cycles of the schedule through
+// the clip set, of each cycle's nearest-rank p95, and the number of
+// cycles. A host stall of a second or two lifts the ten or so requests it
+// overlaps, which is the whole tail beyond a p95 taken over the run; it
+// lifts one or two cycles, and the median drops them. With less than one
+// whole cycle it is the p95 over all samples.
+func cycleP95(lat []float64, cycle int) (float64, int) {
+	var p []float64
+	for i := 0; i+cycle <= len(lat); i += cycle {
+		p = append(p, percentile(lat[i:i+cycle], 0.95))
+	}
+	if len(p) == 0 {
+		return percentile(lat, 0.95), 1
+	}
+	return median(p), len(p)
+}
+
+// serveRun is serve-score: set-up is training plus server start; after an
+// untimed warm-up cycle, the timed phase is the open-loop score schedule.
 func serveRun(w workload, cfg config, c *corpus, out io.Writer) (result, error) {
 	var s *server
 	var setup []float64
@@ -181,6 +198,11 @@ func serveRun(w workload, cfg config, c *corpus, out io.Writer) (result, error) 
 
 	var t tally
 	poolBase := imaging.PoolBalance()
+	// One untimed cycle over the clips first, so the page cache, the heap
+	// and the server's pools are warm when the timed schedule starts.
+	for i, r := range openLoop(cl, ref, w.rate, len(ref.clips), cfg.workers) {
+		t.check(r.ok, "warm-up score request %d: status %d, reply does not match the reference", i, r.status)
+	}
 	replies := openLoop(cl, ref, w.rate, requestCount(w.rate, cfg.seconds), cfg.workers)
 	checkLeaks(&t, poolBase, s.eng)
 	heap := liveHeapMB()
@@ -204,13 +226,15 @@ func serveRun(w workload, cfg config, c *corpus, out io.Writer) (result, error) 
 		frames += r.frames
 		correct += r.correct
 	}
-	fmt.Fprintf(out, "%d score requests at %g/s; latency percentiles over %d samples\n", len(replies), w.rate, len(lat))
+	p95, cycles := cycleP95(lat, len(ref.clips))
+	fmt.Fprintf(out, "%d score requests at %g/s; p50 over %d samples, p95 the median of %d cycles of %d\n",
+		len(replies), w.rate, len(lat), cycles, len(ref.clips))
 	return t.result(map[string]float64{
 		"setup_s":        median(setup),
 		"frames_per_s":   float64(frames) / wall.Seconds(),
 		"accuracy":       ratio(correct, frames),
 		"request_p50_ms": median(lat),
-		"request_p95_ms": percentile(lat, 0.95),
+		"request_p95_ms": p95,
 		"success_ratio":  t.successRatio(),
 		"heap_live_mb":   heap,
 	}, endToEnd), nil
