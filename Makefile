@@ -136,12 +136,14 @@ experiments:
 figures:
 	go run ./cmd/sljexp -exp fig1,fig5,fig7,fig8 -artifacts figures/
 
-# Short fuzz pass over the codecs (the decoders are fuzz-hardened).
+# Short fuzz pass over the codecs and the model loader (both take
+# untrusted bytes and are fuzz-hardened).
 fuzz:
 	go test -fuzz FuzzDecodePGM -fuzztime 10s ./internal/imaging/
 	go test -fuzz FuzzDecodePPM -fuzztime 10s ./internal/imaging/
 	go test -fuzz FuzzDecodePBM -fuzztime 10s ./internal/imaging/
 	go test -fuzz FuzzReader -fuzztime 10s ./internal/video/
+	go test -fuzz FuzzLoad -fuzztime 10s ./internal/dbn/
 
 clean:
 	rm -rf figures/ results_full.txt sljcheck_findings.json test_output.txt bench_output.txt smoke_data BENCH_smoke.json BENCH_gate.json metrics_snapshot.json stream_data BENCH_stream.json metrics_stream.json report_data .report_bin RUN_REPORT.json RUN_REPORT.md sljtop_once.txt ERRORS.json HEALTH.json health_data ERRORS_smoke.json HEALTH_smoke.json health_smoke.log

@@ -85,6 +85,7 @@ var allowExternalFuncs = map[string]bool{
 	"(time.Duration).Nanoseconds": true,
 	"(time.Duration).Seconds":    true,
 	"slices.Sort":                true,
+	"slices.SortStableFunc":      true,
 	"sort.Search":                true,
 	"runtime.KeepAlive":          true,
 }

@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -53,7 +54,10 @@ func (n *Network) Posterior(query int, ev Evidence) ([]float64, error) {
 		return dist, nil
 	}
 
-	var total float64
+	// A posterior can sum millions of tiny joint terms, so each state's
+	// mass is accumulated with Neumaier's compensated summation: the
+	// reference stays within a few ulps however many terms there are.
+	comp := make([]float64, len(dist))
 	var enumerateJoint func(k int)
 	enumerateJoint = func(k int) {
 		if k == len(hidden) {
@@ -65,8 +69,14 @@ func (n *Network) Posterior(query int, ev Evidence) ([]float64, error) {
 					return
 				}
 			}
-			dist[assignment[query]] += p
-			total += p
+			q := assignment[query]
+			sum := dist[q] + p
+			if math.Abs(dist[q]) >= p {
+				comp[q] += (dist[q] - sum) + p
+			} else {
+				comp[q] += (p - sum) + dist[q]
+			}
+			dist[q] = sum
 			return
 		}
 		node := hidden[k]
@@ -78,6 +88,11 @@ func (n *Network) Posterior(query int, ev Evidence) ([]float64, error) {
 	}
 	enumerateJoint(0)
 
+	total := 0.0
+	for s := range dist {
+		dist[s] += comp[s]
+		total += dist[s]
+	}
 	if total == 0 {
 		// Evidence has zero probability; return uniform as a safe answer.
 		for s := range dist {
@@ -222,6 +237,44 @@ func sumOut(f *factor, v int, states func(int) int) *factor {
 	return out
 }
 
+// scope returns node i's factor scope: its parents and itself, ascending.
+func (n *Network) scope(i int) []int {
+	vars := append(append([]int{}, n.nodes[i].Parents...), i)
+	sort.Ints(vars)
+	return vars
+}
+
+// nodeFactor tabulates P(node i | parents) as a factor over scope(i).
+func (n *Network) nodeFactor(i int) *factor {
+	vars := n.scope(i)
+	card := make([]int, len(vars))
+	size := 1
+	for k, v := range vars {
+		card[k] = n.nodes[v].States
+		size *= card[k]
+	}
+	f := &factor{vars: vars, card: card, vals: make([]float64, size)}
+	assignment := make(map[int]int, len(vars))
+	full := make([]int, len(n.nodes))
+	var walk func(k int)
+	walk = func(k int) {
+		if k == len(vars) {
+			for v, s := range assignment {
+				full[v] = s
+			}
+			row, _ := n.parentConfig(i, full)
+			f.vals[f.index(assignment)] = n.Prob(i, row, assignment[i])
+			return
+		}
+		for s := 0; s < card[k]; s++ {
+			assignment[vars[k]] = s
+			walk(k + 1)
+		}
+	}
+	walk(0)
+	return f
+}
+
 // PosteriorVE computes P(query | evidence) by variable elimination with a
 // min-degree-style ordering (fewest-factors-first). Exact; asymptotically
 // much faster than enumeration on chain- and tree-like networks.
@@ -246,33 +299,8 @@ func (n *Network) PosteriorVE(query int, ev Evidence) ([]float64, error) {
 	// observed, which is the common case for the pose networks.
 	factors := make([]*factor, 0, len(n.nodes))
 	for i := range n.nodes {
-		vars := append(append([]int{}, n.nodes[i].Parents...), i)
-		sort.Ints(vars)
-		card := make([]int, len(vars))
-		size := 1
-		for k, v := range vars {
-			card[k] = states(v)
-			size *= card[k]
-		}
-		f := &factor{vars: vars, card: card, vals: make([]float64, size)}
-		assignment := make(map[int]int, len(vars))
-		full := make([]int, len(n.nodes))
-		var walk func(k int)
-		walk = func(k int) {
-			if k == len(vars) {
-				for v, s := range assignment {
-					full[v] = s
-				}
-				row, _ := n.parentConfig(i, full)
-				f.vals[f.index(assignment)] = n.Prob(i, row, assignment[i])
-				return
-			}
-			for s := 0; s < card[k]; s++ {
-				assignment[vars[k]] = s
-				walk(k + 1)
-			}
-		}
-		walk(0)
+		f := n.nodeFactor(i)
+		vars := f.vars
 		for _, v := range vars {
 			if s, observed := ev[v]; observed {
 				f = reduce(f, v, s, states)

@@ -2,6 +2,9 @@
 // graphs of categorical variables with conditional probability tables,
 // maximum-likelihood learning with Laplace smoothing from complete data,
 // and exact inference by both enumeration and variable elimination.
+// Compile flattens variable elimination for one fixed evidence pattern
+// into tables a classifier walks per query; enumeration and variable
+// elimination remain as the references it is tested against.
 //
 // It is the probabilistic substrate of Section 4: each of the paper's 22
 // pose classifiers is a small BN over the five body-part variables and
@@ -185,6 +188,22 @@ func (n *Network) SetCPT(i int, parentCfg int, probs []float64) error {
 	if len(probs) != nd.States {
 		return fmt.Errorf("%w: got %d probs for %d states", ErrBadCPT, len(probs), nd.States)
 	}
+	if err := checkRow(probs); err != nil {
+		return err
+	}
+	if nd.fixed == nil {
+		nd.fixed = make([]float64, len(nd.counts))
+		for k := range nd.fixed {
+			nd.fixed[k] = -1 // sentinel: row not fixed
+		}
+	}
+	copy(nd.fixed[parentCfg*nd.States:], probs)
+	return nil
+}
+
+// checkRow validates one probability row: non-negative entries summing
+// to ~1.
+func checkRow(probs []float64) error {
 	sum := 0.0
 	for _, p := range probs {
 		if p < 0 || math.IsNaN(p) {
@@ -195,13 +214,6 @@ func (n *Network) SetCPT(i int, parentCfg int, probs []float64) error {
 	if sum <= 0 || math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("%w: row sums to %v", ErrBadCPT, sum)
 	}
-	if nd.fixed == nil {
-		nd.fixed = make([]float64, len(nd.counts))
-		for k := range nd.fixed {
-			nd.fixed[k] = -1 // sentinel: row not fixed
-		}
-	}
-	copy(nd.fixed[parentCfg*nd.States:], probs)
 	return nil
 }
 

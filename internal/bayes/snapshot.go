@@ -1,6 +1,9 @@
 package bayes
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeSnapshot is the serialisable state of one node.
 type NodeSnapshot struct {
@@ -39,30 +42,46 @@ func (n *Network) Snapshot() Snapshot {
 	return s
 }
 
-// FromSnapshot reconstructs a network, validating structural integrity.
+// FromSnapshot reconstructs a network, validating it: the structure, a
+// finite non-negative Laplace pseudo-count, finite non-negative counts
+// whose row totals stay finite, and fixed rows that are either unset
+// (all -1) or valid distributions.
 func FromSnapshot(s Snapshot) (*Network, error) {
+	if !(s.Laplace >= 0) || math.IsInf(s.Laplace, 1) {
+		return nil, fmt.Errorf("bayes: snapshot Laplace %v is negative or not finite", s.Laplace)
+	}
 	n := New()
 	n.SetLaplace(s.Laplace)
 	for i, ns := range s.Nodes {
+		// Check the table size before AddNode allocates it.
+		size := ns.States
+		for _, p := range ns.Parents {
+			if p >= 0 && p < i && size <= len(ns.Counts) {
+				size *= s.Nodes[p].States
+			}
+		}
+		if size != len(ns.Counts) {
+			return nil, fmt.Errorf("bayes: snapshot node %d: %d counts for %d states and parents %v",
+				i, len(ns.Counts), ns.States, ns.Parents)
+		}
 		id, err := n.AddNode(ns.Name, ns.States, ns.Parents...)
 		if err != nil {
 			return nil, fmt.Errorf("bayes: snapshot node %d: %w", i, err)
 		}
 		nd := &n.nodes[id]
-		if len(ns.Counts) != len(nd.counts) {
-			return nil, fmt.Errorf("bayes: snapshot node %d: %d counts, want %d",
-				i, len(ns.Counts), len(nd.counts))
-		}
 		copy(nd.counts, ns.Counts)
 		// Rebuild row totals.
 		for row := range nd.rowTotals {
 			total := 0.0
 			for st := 0; st < nd.States; st++ {
 				c := nd.counts[row*nd.States+st]
-				if c < 0 {
-					return nil, fmt.Errorf("bayes: snapshot node %d: negative count", i)
+				if !(c >= 0) || math.IsInf(c, 1) {
+					return nil, fmt.Errorf("bayes: snapshot node %d: count %v is negative or not finite", i, c)
 				}
 				total += c
+			}
+			if math.IsInf(total, 1) {
+				return nil, fmt.Errorf("bayes: snapshot node %d: counts of row %d overflow", i, row)
 			}
 			nd.rowTotals[row] = total
 		}
@@ -71,8 +90,26 @@ func FromSnapshot(s Snapshot) (*Network, error) {
 				return nil, fmt.Errorf("bayes: snapshot node %d: %d fixed entries, want %d",
 					i, len(ns.Fixed), len(nd.counts))
 			}
+			for row := range nd.rowTotals {
+				if err := checkFixedRow(ns.Fixed[row*nd.States : (row+1)*nd.States]); err != nil {
+					return nil, fmt.Errorf("bayes: snapshot node %d fixed row %d: %w", i, row, err)
+				}
+			}
 			nd.fixed = append([]float64(nil), ns.Fixed...)
 		}
 	}
 	return n, nil
+}
+
+// checkFixedRow accepts a fixed-CPT row that is unset (every entry the
+// -1 sentinel SetCPT fills) or a valid distribution.
+func checkFixedRow(row []float64) error {
+	unset := true
+	for _, p := range row {
+		unset = unset && p == -1
+	}
+	if unset {
+		return nil
+	}
+	return checkRow(row)
 }

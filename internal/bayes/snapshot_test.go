@@ -39,27 +39,62 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestFromSnapshotValidation(t *testing.T) {
 	n, _ := sprinkler(t)
 	good := n.Snapshot()
-
-	bad := good
-	bad.Nodes = append([]NodeSnapshot(nil), good.Nodes...)
-	bad.Nodes[0].Counts = []float64{1} // wrong length
-	if _, err := FromSnapshot(bad); err == nil {
-		t.Error("wrong-length counts accepted")
+	tests := []struct {
+		name string
+		mut  func(s *Snapshot)
+	}{
+		{"wrong-length counts", func(s *Snapshot) { s.Nodes[0].Counts = []float64{1} }},
+		{"dangling parent", func(s *Snapshot) {
+			s.Nodes[0] = NodeSnapshot{Name: "x", States: 2, Parents: []int{9}, Counts: []float64{0, 0}}
+		}},
+		{"oversized states", func(s *Snapshot) { s.Nodes[0].States = 1 << 40 }},
+		{"negative count", func(s *Snapshot) { s.Nodes[0].Counts[0] = -1 }},
+		{"NaN count", func(s *Snapshot) { s.Nodes[1].Counts[2] = math.NaN() }},
+		{"infinite count", func(s *Snapshot) { s.Nodes[2].Counts[0] = math.Inf(1) }},
+		{"overflowing row", func(s *Snapshot) { s.Nodes[0].Counts[0], s.Nodes[0].Counts[1] = math.MaxFloat64, math.MaxFloat64 }},
+		{"NaN Laplace", func(s *Snapshot) { s.Laplace = math.NaN() }},
+		{"infinite Laplace", func(s *Snapshot) { s.Laplace = math.Inf(1) }},
+		{"negative Laplace", func(s *Snapshot) { s.Laplace = -1 }},
+		{"fixed row off the simplex", func(s *Snapshot) { s.Nodes[0].Fixed[0] = 0.5 }},
+		{"fixed row with NaN", func(s *Snapshot) { s.Nodes[1].Fixed[1] = math.NaN() }},
+		{"fixed row half unset", func(s *Snapshot) { s.Nodes[2].Fixed[0] = -1 }},
+		{"fixed table of the wrong length", func(s *Snapshot) { s.Nodes[0].Fixed = []float64{1} }},
 	}
-
-	bad2 := good
-	bad2.Nodes = append([]NodeSnapshot(nil), good.Nodes...)
-	bad2.Nodes[0] = NodeSnapshot{Name: "x", States: 2, Parents: []int{9}, Counts: []float64{0, 0}}
-	if _, err := FromSnapshot(bad2); err == nil {
-		t.Error("dangling parent accepted")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			bad := cloneSnapshot(good)
+			tt.mut(&bad)
+			if _, err := FromSnapshot(bad); err == nil {
+				t.Error("malformed snapshot accepted")
+			}
+		})
 	}
-
-	bad3 := good
-	bad3.Nodes = append([]NodeSnapshot(nil), good.Nodes...)
-	counts := append([]float64(nil), good.Nodes[0].Counts...)
-	counts[0] = -1
-	bad3.Nodes[0].Counts = counts
-	if _, err := FromSnapshot(bad3); err == nil {
-		t.Error("negative count accepted")
+	if _, err := FromSnapshot(cloneSnapshot(good)); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
 	}
+	// A partly fixed table keeps its unset rows at the -1 sentinel.
+	m := New()
+	a, _ := m.AddNode("a", 2)
+	b, _ := m.AddNode("b", 2, a)
+	if err := m.SetCPT(b, 1, []float64{0.3, 0.7}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromSnapshot(m.Snapshot()); err != nil {
+		t.Fatalf("partly fixed snapshot rejected: %v", err)
+	}
+}
+
+// cloneSnapshot deep-copies s so a test can corrupt it.
+func cloneSnapshot(s Snapshot) Snapshot {
+	out := Snapshot{Laplace: s.Laplace, Nodes: make([]NodeSnapshot, len(s.Nodes))}
+	for i, ns := range s.Nodes {
+		out.Nodes[i] = NodeSnapshot{
+			Name:    ns.Name,
+			States:  ns.States,
+			Parents: append([]int(nil), ns.Parents...),
+			Counts:  append([]float64(nil), ns.Counts...),
+			Fixed:   append([]float64(nil), ns.Fixed...),
+		}
+	}
+	return out
 }

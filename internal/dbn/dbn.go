@@ -28,7 +28,9 @@ package dbn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/bayes"
 	"repro/internal/keypoint"
@@ -115,9 +117,28 @@ func (c *Classifier) nodeArea0() int { return nodePart0 + keypoint.NumParts }
 // cfg.Rings > 0).
 func (c *Classifier) nodeRing0() int { return c.nodeArea0() + c.cfg.Partitions }
 
+// numNodes is the node count of every network in the bank.
+func (c *Classifier) numNodes() int {
+	n := c.nodeRing0()
+	if c.cfg.Rings > 0 {
+		n += keypoint.NumParts
+	}
+	return n
+}
+
 // prevStates is the cardinality of the PrevPose variable: the 22 poses
 // plus state 0 for "unknown / start of clip".
 const prevStates = pose.NumPoses + 1
+
+// Configuration limits. They bound the size of a loaded model's networks
+// well above any configuration the experiments use.
+const (
+	maxPartitions = 64
+	maxRings      = 64
+)
+
+// unitInterval reports whether x lies in [0,1] (false for NaN).
+func unitInterval(x float64) bool { return x >= 0 && x <= 1 }
 
 // Classifier is the trained bank of per-pose DBNs. It is immutable during
 // classification and safe for concurrent read use; training must finish
@@ -129,6 +150,81 @@ type Classifier struct {
 	// transitions counts labelled pose bigrams (row: previous pose,
 	// 0 = clip start; column: current pose) for the Viterbi decoder.
 	transitions [pose.NumPoses + 1][pose.NumPoses + 1]float64
+	// compiled is the networks' compiled form, shared by every session;
+	// nil until first use after Observe.
+	compiled atomic.Pointer[bank]
+}
+
+// bank is the classifier's compiled form: every pose network flattened
+// by bayes.Compile for the two evidence patterns the classifier asks. It
+// is immutable once built.
+type bank struct {
+	// classify observes the previous pose, the stage and the features
+	// (Session.Classify).
+	classify [pose.NumPoses + 1]*bayes.Compiled
+	// emission observes the features only (emissionScores).
+	emission [pose.NumPoses + 1]*bayes.Compiled
+}
+
+// tables returns the compiled bank, building it if Observe has
+// invalidated it. Builders that race compile identical banks, so it does
+// not matter whose store lands last.
+func (c *Classifier) tables() (*bank, error) {
+	if b := c.compiled.Load(); b != nil {
+		return b, nil
+	}
+	var features []int
+	if c.cfg.UsePartEvidence {
+		for i := 0; i < keypoint.NumParts; i++ {
+			features = append(features, nodePart0+i)
+		}
+	}
+	if c.cfg.UseAreaEvidence {
+		for j := 0; j < c.cfg.Partitions; j++ {
+			features = append(features, c.nodeArea0()+j)
+		}
+	}
+	if c.cfg.Rings > 0 {
+		for i := 0; i < keypoint.NumParts; i++ {
+			features = append(features, c.nodeRing0()+i)
+		}
+	}
+	withState := append([]int{nodePrev, nodeStage}, features...)
+	b := &bank{}
+	for _, p := range pose.AllPoses() {
+		var err error
+		if b.classify[p], err = c.nets[p].Compile(nodePose, withState); err != nil {
+			return nil, fmt.Errorf("dbn: compiling %v network: %w", p, err)
+		}
+		if b.emission[p], err = c.nets[p].Compile(nodePose, features); err != nil {
+			return nil, fmt.Errorf("dbn: compiling %v network: %w", p, err)
+		}
+	}
+	c.compiled.Store(b)
+	return b, nil
+}
+
+// features writes the frame's feature evidence into ev, which is indexed
+// by network node: part areas, occupied-area bits and rings. Entries the
+// configuration does not observe are written but never read.
+func (c *Classifier) features(ev []int, enc keypoint.Encoding) {
+	for i := 0; i < keypoint.NumParts; i++ {
+		ev[nodePart0+i] = enc.Area[i]
+	}
+	areas := ev[c.nodeArea0() : c.nodeArea0()+c.cfg.Partitions]
+	for j := range areas {
+		areas[j] = 0
+	}
+	for _, a := range enc.Area {
+		if a >= 1 && a <= c.cfg.Partitions {
+			areas[a-1] = 1
+		}
+	}
+	if c.cfg.Rings > 0 {
+		for i := 0; i < keypoint.NumParts; i++ {
+			ev[c.nodeRing0()+i] = enc.Ring[i]
+		}
+	}
 }
 
 // New builds an untrained classifier bank.
@@ -139,11 +235,22 @@ func New(cfg Config) (*Classifier, error) {
 	if !cfg.Dominant.Valid() {
 		return nil, fmt.Errorf("dbn: dominant pose %v invalid", cfg.Dominant)
 	}
-	if cfg.ThPose < 0 || cfg.ThPose > 1 || cfg.ThDefault < 0 || cfg.ThDefault > 1 {
+	if cfg.Partitions > maxPartitions {
+		return nil, fmt.Errorf("dbn: partitions = %d, want <= %d", cfg.Partitions, maxPartitions)
+	}
+	if !unitInterval(cfg.ThPose) || !unitInterval(cfg.ThDefault) {
 		return nil, fmt.Errorf("dbn: thresholds out of [0,1]")
 	}
-	if cfg.Rings < 0 {
-		return nil, fmt.Errorf("dbn: rings = %d, want >= 0", cfg.Rings)
+	for p, th := range cfg.PerPoseTh {
+		if !p.Valid() || !unitInterval(th) {
+			return nil, fmt.Errorf("dbn: threshold %v for pose %v out of [0,1]", th, p)
+		}
+	}
+	if cfg.Rings < 0 || cfg.Rings > maxRings {
+		return nil, fmt.Errorf("dbn: rings = %d, want 0..%d", cfg.Rings, maxRings)
+	}
+	if math.IsNaN(cfg.Laplace) || math.IsInf(cfg.Laplace, 0) {
+		return nil, fmt.Errorf("dbn: laplace = %v, want finite", cfg.Laplace)
 	}
 	if !cfg.UsePartEvidence && !cfg.UseAreaEvidence {
 		return nil, errors.New("dbn: at least one evidence channel must be enabled")
@@ -230,6 +337,9 @@ func (c *Classifier) Observe(prev pose.Pose, stage pose.Stage, truth pose.Pose, 
 	if prev != pose.PoseUnknown && !prev.Valid() {
 		return fmt.Errorf("%w: previous pose %v", ErrBadLabel, prev)
 	}
+	// Drop the compiled bank once the counts have changed, on every
+	// return path: a rebuild that ran mid-update would hold stale tables.
+	defer c.compiled.Store(nil)
 	for _, p := range pose.AllPoses() {
 		if err := c.nets[p].Observe(c.assignment(prev, stage, p == truth, enc), 1); err != nil {
 			return fmt.Errorf("dbn: observing into %v network: %w", p, err)
@@ -311,7 +421,15 @@ type Session struct {
 	// frame counts Classify calls, so Unknown decisions journal with
 	// the frame index they were made on.
 	frame int
+	// ev is the evidence vector, indexed by network node.
+	ev []int
+	// slab backs the Scores of the results still to come.
+	slab []Score
 }
+
+// slabFrames is how many frames' Scores one Session.Classify slab
+// allocation covers.
+const slabFrames = 16
 
 // NewSession starts decoding a clip: "When the first frame enters, we
 // reset the jumping stage to 'before jumping' and the current pose to
@@ -340,6 +458,25 @@ func (s *Session) Prev() pose.Pose { return s.prev }
 
 // Classify decodes one frame and advances the session state.
 func (s *Session) Classify(enc keypoint.Encoding) (Result, error) {
+	if s.ev == nil {
+		s.ev = make([]int, s.c.numNodes())
+	}
+	if len(s.slab) < pose.NumPoses {
+		s.slab = make([]Score, slabFrames*pose.NumPoses)
+	}
+	r, err := s.classify(enc, s.slab[:pose.NumPoses:pose.NumPoses])
+	if err == nil {
+		s.slab = s.slab[pose.NumPoses:]
+	}
+	return r, err
+}
+
+// classify is Classify with the result's Scores backed by scores, which
+// holds one slot per pose: every network's posterior is a walk over its
+// compiled tables.
+//
+//slj:hotpath
+func (s *Session) classify(enc keypoint.Encoding, scores []Score) (Result, error) {
 	c := s.c
 	if !c.trained {
 		return Result{}, ErrNotTrained
@@ -347,41 +484,24 @@ func (s *Session) Classify(enc keypoint.Encoding) (Result, error) {
 	sp := s.sc.Start(obs.StageClassify)
 	defer sp.End()
 	if enc.Partitions != c.cfg.Partitions || enc.Rings != c.cfg.Rings {
-		return Result{}, fmt.Errorf("%w: got %d partitions/%d rings, configured %d/%d",
+		return Result{}, fmt.Errorf("%w: got %d partitions/%d rings, configured %d/%d", //slj:alloc-ok cold error path, the frame is rejected
 			ErrBadEncoding, enc.Partitions, enc.Rings, c.cfg.Partitions, c.cfg.Rings)
 	}
-	scores := make([]Score, 0, pose.NumPoses)
-	for _, p := range pose.AllPoses() {
-		ev := bayes.Evidence{
-			nodePrev:  int(s.prev),
-			nodeStage: int(s.stage) - 1,
-		}
-		if c.cfg.UsePartEvidence {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[nodePart0+i] = enc.Area[i]
-			}
-		}
-		if c.cfg.UseAreaEvidence {
-			for j, occ := range enc.OccupiedAreas() {
-				v := 0
-				if occ {
-					v = 1
-				}
-				ev[c.nodeArea0()+j] = v
-			}
-		}
-		if c.cfg.Rings > 0 {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[c.nodeRing0()+i] = enc.Ring[i]
-			}
-		}
-		dist, err := c.nets[p].PosteriorVE(nodePose, ev)
-		if err != nil {
-			return Result{}, fmt.Errorf("dbn: scoring %v: %w", p, err)
-		}
-		scores = append(scores, Score{Pose: p, Prob: dist[1]})
+	b, err := c.tables() //slj:alloc-ok compiles once after training; later frames only load the pointer
+	if err != nil {
+		return Result{}, err
 	}
-	sort.SliceStable(scores, func(i, j int) bool { return scores[i].Prob > scores[j].Prob })
+	c.features(s.ev, enc)
+	s.ev[nodePrev] = int(s.prev)
+	s.ev[nodeStage] = int(s.stage) - 1
+	var dist [2]float64
+	for p := pose.Pose(1); int(p) <= pose.NumPoses; p++ {
+		if err := b.classify[p].Posterior(s.ev, dist[:]); err != nil {
+			return Result{}, fmt.Errorf("dbn: scoring %v: %w", p, err) //slj:alloc-ok cold error path, the frame is rejected
+		}
+		scores[p-1] = Score{Pose: p, Prob: dist[1]}
+	}
+	slices.SortStableFunc(scores, byProbDesc)
 
 	// Decision: best pose whose posterior clears its threshold; the
 	// dominant pose uses the (lower) ThDefault floor.
@@ -412,6 +532,20 @@ func (s *Session) Classify(enc keypoint.Encoding) (Result, error) {
 	return Result{Pose: decided, Prob: prob, Stage: s.stage, Scores: scores}, nil
 }
 
+// byProbDesc orders scores by descending posterior. slices.SortStableFunc
+// runs the insertion-sort and symMerge passes sort.SliceStable runs and
+// only ever tests byProbDesc(a, b) < 0, so ties keep pose order exactly
+// as the former sort.SliceStable with a ">" test did.
+func byProbDesc(a, b Score) int {
+	switch {
+	case a.Prob > b.Prob:
+		return -1
+	case a.Prob < b.Prob:
+		return 1
+	}
+	return 0
+}
+
 // ClassifySequence decodes a whole clip with a fresh session, returning
 // one result per frame.
 func (c *Classifier) ClassifySequence(encs []keypoint.Encoding) ([]Result, error) {
@@ -424,6 +558,7 @@ func (c *Classifier) ClassifySequence(encs []keypoint.Encoding) ([]Result, error
 func (c *Classifier) ClassifySequenceScoped(encs []keypoint.Encoding, sc *obs.Scope) ([]Result, error) {
 	s := c.NewSession()
 	s.SetScope(sc)
+	s.slab = make([]Score, len(encs)*pose.NumPoses)
 	out := make([]Result, 0, len(encs))
 	for i, enc := range encs {
 		r, err := s.Classify(enc)
@@ -437,7 +572,8 @@ func (c *Classifier) ClassifySequenceScoped(encs []keypoint.Encoding, sc *obs.Sc
 
 // Network exposes the per-pose network for inspection (experiments print
 // Figure 7 structures from it). The returned network is live; do not
-// mutate it during classification.
+// mutate it: classification reads the compiled bank, which only Observe
+// rebuilds.
 func (c *Classifier) Network(p pose.Pose) (*bayes.Network, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, p)

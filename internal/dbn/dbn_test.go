@@ -23,10 +23,16 @@ func jitteredAngles(p pose.Pose, r *rand.Rand, amp float64) pose.JointAngles {
 
 // encodePose produces the ground-truth feature encoding of a pose with
 // jitter.
-func encodePose(t *testing.T, p pose.Pose, r *rand.Rand, partitions int) keypoint.Encoding {
+func encodePose(t testing.TB, p pose.Pose, r *rand.Rand, partitions int) keypoint.Encoding {
+	t.Helper()
+	return encodeRadial(t, p, r, partitions, 0)
+}
+
+// encodeRadial is encodePose with radial ring features.
+func encodeRadial(t testing.TB, p pose.Pose, r *rand.Rand, partitions, rings int) keypoint.Encoding {
 	t.Helper()
 	s := pose.Compute(imaging.Pointf{X: 120, Y: 110}, 100, jitteredAngles(p, r, 0.06), pose.DefaultProportions())
-	enc, err := keypoint.Encode(keypoint.FromSkeleton2D(s), partitions)
+	enc, err := keypoint.EncodeRadial(keypoint.FromSkeleton2D(s), partitions, rings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func canonicalSequence() []pose.Pose {
 }
 
 // trainedClassifier builds a classifier trained on several jittered clips.
-func trainedClassifier(t *testing.T, cfg Config, clips int, seed int64) *Classifier {
+func trainedClassifier(t testing.TB, cfg Config, clips int, seed int64) *Classifier {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -79,7 +85,7 @@ func trainedClassifier(t *testing.T, cfg Config, clips int, seed int64) *Classif
 	for k := 0; k < clips; k++ {
 		var frames []LabeledFrame
 		for _, p := range canonicalSequence() {
-			frames = append(frames, LabeledFrame{Label: p, Enc: encodePose(t, p, r, cfg.Partitions)})
+			frames = append(frames, LabeledFrame{Label: p, Enc: encodeRadial(t, p, r, cfg.Partitions, cfg.Rings)})
 		}
 		if err := c.TrainSequence(frames); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bayes"
@@ -101,19 +103,48 @@ func Load(r io.Reader) (*Classifier, error) {
 		if !ok {
 			return nil, fmt.Errorf("dbn: model missing network for %v", p)
 		}
+		// The compiled tables index by evidence state, so the network
+		// must have exactly the layout New builds; checking it first
+		// also keeps FromSnapshot from sizing tables by untrusted counts.
+		if err := sameLayout(c.nets[p], snap); err != nil {
+			return nil, fmt.Errorf("dbn: network for %v: %w", p, err)
+		}
 		net, err := bayes.FromSnapshot(snap)
 		if err != nil {
 			return nil, fmt.Errorf("dbn: network for %v: %w", p, err)
 		}
-		// Structural check: the rebuilt network must match what New
-		// would construct.
-		if net.Len() != c.nets[p].Len() {
-			return nil, fmt.Errorf("dbn: network for %v has %d nodes, want %d",
-				p, net.Len(), c.nets[p].Len())
-		}
 		c.nets[p] = net
+	}
+	for _, row := range mf.Transitions {
+		for _, v := range row {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("dbn: transition count %v is negative or not finite", v)
+			}
+		}
 	}
 	c.trained = mf.Trained
 	c.transitions = mf.Transitions
+	if _, err := c.tables(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// sameLayout checks that a saved network has want's nodes: the same
+// count, and each node the same cardinality and parents.
+func sameLayout(want *bayes.Network, got bayes.Snapshot) error {
+	if len(got.Nodes) != want.Len() {
+		return fmt.Errorf("%d nodes, want %d", len(got.Nodes), want.Len())
+	}
+	for i, ns := range got.Nodes {
+		nd, err := want.Node(i)
+		if err != nil {
+			return err
+		}
+		if ns.States != nd.States || !slices.Equal(ns.Parents, nd.Parents) {
+			return fmt.Errorf("node %d has %d states and parents %v, want %d states and parents %v",
+				i, ns.States, ns.Parents, nd.States, nd.Parents)
+		}
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bayes"
 	"repro/internal/keypoint"
 	"repro/internal/pose"
 )
@@ -39,39 +38,20 @@ func (c *Classifier) transitionProb(prev, cur pose.Pose) float64 {
 	return (row[int(cur)] + transitionSmoothing) / den
 }
 
-// emissionScores returns, for one frame, P(pose present | features) for
-// every pose, using feature evidence only (previous pose and stage are
-// marginalised out, so the score is decoder-independent).
-func (c *Classifier) emissionScores(enc keypoint.Encoding) ([]float64, error) {
-	out := make([]float64, pose.NumPoses+1)
-	for _, p := range pose.AllPoses() {
-		ev := bayes.Evidence{}
-		if c.cfg.UsePartEvidence {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[nodePart0+i] = enc.Area[i]
-			}
-		}
-		if c.cfg.UseAreaEvidence {
-			for j, occ := range enc.OccupiedAreas() {
-				v := 0
-				if occ {
-					v = 1
-				}
-				ev[c.nodeArea0()+j] = v
-			}
-		}
-		if c.cfg.Rings > 0 {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[c.nodeRing0()+i] = enc.Ring[i]
-			}
-		}
-		dist, err := c.nets[p].PosteriorVE(nodePose, ev)
-		if err != nil {
-			return nil, fmt.Errorf("dbn: emission for %v: %w", p, err)
+// emissionScores writes into out[p], for one frame, P(pose p present |
+// features) for every pose, using feature evidence only (previous pose
+// and stage are marginalised out, so the score is decoder-independent).
+// ev is the evidence scratch vector.
+func (c *Classifier) emissionScores(b *bank, ev []int, enc keypoint.Encoding, out []float64) error {
+	c.features(ev, enc)
+	var dist [2]float64
+	for p := pose.Pose(1); int(p) <= pose.NumPoses; p++ {
+		if err := b.emission[p].Posterior(ev, dist[:]); err != nil {
+			return fmt.Errorf("dbn: emission for %v: %w", p, err)
 		}
 		out[p] = dist[1]
 	}
-	return out, nil
+	return nil
 }
 
 // DecodeViterbi decodes a whole clip jointly: the most probable pose
@@ -92,6 +72,12 @@ func (c *Classifier) DecodeViterbi(encs []keypoint.Encoding) ([]pose.Pose, error
 				ErrBadEncoding, i, enc.Partitions, c.cfg.Partitions)
 		}
 	}
+	b, err := c.tables()
+	if err != nil {
+		return nil, err
+	}
+	ev := make([]int, c.numNodes())
+	emis := make([]float64, pose.NumPoses+1)
 	nStates := pose.NumPoses
 	logTrans := make([][]float64, nStates+1)
 	for q := 0; q <= nStates; q++ {
@@ -105,8 +91,7 @@ func (c *Classifier) DecodeViterbi(encs []keypoint.Encoding) ([]pose.Pose, error
 	delta := make([][]float64, len(encs))
 	back := make([][]int, len(encs))
 	for t := range encs {
-		emis, err := c.emissionScores(encs[t])
-		if err != nil {
+		if err := c.emissionScores(b, ev, encs[t], emis); err != nil {
 			return nil, err
 		}
 		delta[t] = make([]float64, nStates+1)

@@ -396,12 +396,11 @@ func (sc *Scope) Decision(jumpStage, frame int, unknown bool) {
 	sc.decided[jumpStage].Inc()
 	if unknown {
 		sc.unknown[jumpStage].Inc()
-		sc.journal.Record(ErrClassDBNUnknown, sc.trace, sc.clip, frame, "dbn decided PoseUnknown")
-		if sc.logger != nil && sc.logger.Enabled(context.Background(), slog.LevelDebug) {
+		sc.journal.Record(ErrClassDBNUnknown, sc.trace, sc.clip, frame, "dbn decided PoseUnknown") //slj:alloc-ok failure-path journaling; Record lands in preallocated rings, no per-record allocation
+		if sc.logger != nil && sc.logger.Enabled(context.Background(), slog.LevelDebug) {          //slj:alloc-ok level probe only; Enabled and context.Background allocate nothing
 			sc.logger.LogAttrs(context.Background(), slog.LevelDebug, "dbn decided PoseUnknown", //slj:alloc-ok debug logging is level-gated; the guard above keeps the disabled path alloc-free
 				slog.String("class", ErrClassDBNUnknown.String()),
-				slog.Int("frame", frame),
-				slog.Int("jump_stage", jumpStage))
+				slog.Int("frame", frame), slog.Int("jump_stage", jumpStage)) //slj:alloc-ok attribute constructors run only under the debug-level guard above
 		}
 	}
 }
