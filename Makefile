@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet sljcheck lint lint-hotpath test race test-race bench bench-json bench-smoke bench-stream bench-gate bench-baseline report health-smoke serve-smoke experiments figures fuzz clean
+.PHONY: all build vet sljcheck lint lint-hotpath test race test-race bench bench-json bench-smoke bench-stream bench-gate bench-baseline report health-smoke serve-smoke paper-digest experiments figures fuzz clean
 
 all: build lint test
 
@@ -128,6 +128,15 @@ health-smoke:
 # SIGTERM drains and exits 0. See scripts/serve_smoke.sh.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# Results gate: rerun every experiment and compare a digest of its output
+# (artifact SHA-256 plus stdout with the wall-clock values masked) with
+# the committed PAPER_DIGEST.txt, so a change that moves any accuracy,
+# confusion matrix or figure fails. About 4 minutes. A change that is
+# meant to move results regenerates the file with
+# `sh scripts/paper_digest.sh > PAPER_DIGEST.txt` and says why.
+paper-digest:
+	sh scripts/paper_digest.sh PAPER_DIGEST.txt
 
 # Regenerate every paper figure/result at full size (see DESIGN.md §4).
 experiments:

@@ -101,11 +101,6 @@ type Options struct {
 	// FrontEnd selects thinning (paper) or the GA stick-model fitter
 	// (previous work).
 	FrontEnd FrontEnd
-	// UseROITracking extracts each frame only inside the tracker's
-	// predicted region of interest — a large speed-up on big frames at
-	// identical output (the ROI margin covers the moving-average window
-	// and inter-frame motion).
-	UseROITracking bool
 	// AutoOrient detects the jump direction from the silhouette drift
 	// and mirrors right-to-left clips so the classifier always sees a
 	// left-to-right jump. The paper fixes the camera "from the left-hand
@@ -162,9 +157,6 @@ func WithFrontEnd(fe FrontEnd) Option { return func(o *Options) { o.FrontEnd = f
 
 // WithAutoOrient toggles automatic jump-direction normalisation.
 func WithAutoOrient(v bool) Option { return func(o *Options) { o.AutoOrient = v } }
-
-// WithROITracking toggles tracker-guided region-of-interest extraction.
-func WithROITracking(v bool) Option { return func(o *Options) { o.UseROITracking = v } }
 
 // WithGAConfig tunes the GA front end.
 func WithGAConfig(cfg ga.Config) Option { return func(o *Options) { o.GA = cfg } }
@@ -508,12 +500,11 @@ func clipFrame(lc dataset.LabeledClip, i int) (synth.Frame, error) {
 
 // silhouetteSource prepares per-frame silhouette production for a clip:
 // it installs the clip background (when extracting) and returns a closure
-// yielding frame i's silhouette. The closure is stateful — ROI tracking
-// feeds each silhouette back into the tracker — so it must be called with
-// i = 0, 1, 2, ... in order, from a single goroutine. Both the batch path
-// (clipSilhouettes) and the Engine's pipelined path drive it. Streamed
-// clips decode each frame as it is requested, overlapping disk I/O with
-// the downstream analysis stages.
+// yielding frame i's silhouette. The closure reuses the System's
+// extractor, so it must be called from a single goroutine. Both the
+// batch path (clipSilhouettes) and the Engine's pipelined path drive it.
+// Streamed clips decode each frame as it is requested, overlapping disk
+// I/O with the downstream analysis stages.
 func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging.Binary, error), error) {
 	if !s.opts.UseGroundTruthSilhouettes {
 		if lc.Clip.Background == nil {
@@ -522,14 +513,6 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 			return nil, err
 		}
 		s.SetBackground(lc.Clip.Background)
-	}
-	// roiMargin pads the tracker window: it must absorb the moving-average
-	// window, inter-frame motion AND single-frame bounding-box growth
-	// (a crouch extending to full height adds ~35 px at one end).
-	const roiMargin = 48
-	var tr *track.Tracker
-	if s.opts.UseROITracking && !s.opts.UseGroundTruthSilhouettes {
-		tr = track.DefaultTracker()
 	}
 	return func(i int) (*imaging.Binary, error) {
 		fr, err := clipFrame(lc, i)
@@ -545,19 +528,7 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 			}
 			return fr.Silhouette, nil
 		}
-		var sil *imaging.Binary
-		if tr != nil {
-			if roi, roiErr := tr.ROI(roiMargin, fr.Image.W, fr.Image.H); roiErr == nil {
-				sil, err = s.extractor.ExtractInROI(fr.Image, roi)
-			} else {
-				sil, err = s.extractor.Extract(fr.Image) // first frame: full scan
-			}
-			if err == nil {
-				tr.Step(sil)
-			}
-		} else {
-			sil, err = s.extractor.Extract(fr.Image)
-		}
+		sil, err := s.extractor.Extract(fr.Image)
 		if err != nil {
 			err = fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
 			s.opts.Scope.RecordError(errClassOf(err), err)

@@ -492,30 +492,6 @@ func TestDistractorRejected(t *testing.T) {
 	}
 }
 
-func TestROITrackingMatchesFullExtraction(t *testing.T) {
-	ds := smallDataset(t, 69)
-	run := func(roi bool) float64 {
-		sys, err := NewSystem(WithROITracking(roi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Train(ds.Train[:2]); err != nil {
-			t.Fatal(err)
-		}
-		sum, _, err := sys.Evaluate(ds.Test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum.OverallAccuracy()
-	}
-	full := run(false)
-	roi := run(true)
-	t.Logf("accuracy: full %.2f, ROI %.2f", full, roi)
-	if roi < full-0.10 {
-		t.Errorf("ROI tracking hurt accuracy: %.2f vs %.2f", roi, full)
-	}
-}
-
 func TestRenderAnalysis(t *testing.T) {
 	sys, err := NewSystem()
 	if err != nil {

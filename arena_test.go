@@ -18,7 +18,7 @@ var arenaVariants = []struct {
 }{
 	{"default", nil},
 	{"ground-truth", []Option{WithGroundTruthSilhouettes(true)}},
-	{"auto-orient+roi", []Option{WithAutoOrient(true), WithROITracking(true)}},
+	{"auto-orient", []Option{WithAutoOrient(true)}},
 }
 
 // TestArenaTrainMatchesPreArena pins the trained model bytes: training

@@ -15,7 +15,6 @@ import (
 	slj "repro"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/extract"
 	"repro/internal/imaging"
 	"repro/internal/keypoint"
 	"repro/internal/obs"
@@ -403,40 +402,5 @@ func BenchmarkStageSynthFrame(b *testing.B) {
 		if _, err := synth.Generate(spec); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStageExtractROI measures ROI-restricted extraction against
-// the full-frame scan of BenchmarkStageFrameAnalysis (the tracker path).
-func BenchmarkStageExtractROI(b *testing.B) {
-	ds, err := dataset.Generate(dataset.GenOptions{TrainClips: 1, TestClips: 1, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex, err := extract.NewExtractor()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lc := ds.Test[0]
-	ex.SetBackground(lc.Clip.Background)
-	frame := lc.Clip.Frames[len(lc.Clip.Frames)/2].Image
-	full, err := ex.Extract(frame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	roi := full.ForegroundBounds()
-	roi.Min.X -= 48
-	roi.Min.Y -= 48
-	roi.Max.X += 48
-	roi.Max.Y += 48
-	imaging.PutBinary(full)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sil, err := ex.ExtractInROI(frame, roi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imaging.PutBinary(sil)
 	}
 }

@@ -86,7 +86,6 @@ func TestEngineClassifyClipMatchesSequential(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"roi-tracking", []Option{WithROITracking(true)}},
 		{"ground-truth-sils", []Option{WithGroundTruthSilhouettes(true)}},
 		{"auto-orient", []Option{WithAutoOrient(true)}}, // batch fallback path
 	}

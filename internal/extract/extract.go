@@ -46,7 +46,8 @@ var ErrNoBackground = errors.New("extract: no background frame set")
 type Options struct {
 	// ThObject is the foreground threshold of step viii (paper: 20).
 	ThObject int
-	// Window is the odd moving-average window size n of steps i–ii.
+	// Window is the odd moving-average window size n of steps i–ii, at
+	// most imaging.MaxBoxWindow.
 	Window int
 	// MedianKernel is the odd kernel size for silhouette smoothing;
 	// 0 disables smoothing (yields Figure 1(b) instead of 1(c)).
@@ -66,7 +67,8 @@ type Option func(*Options)
 // WithThObject overrides the foreground threshold.
 func WithThObject(th int) Option { return func(o *Options) { o.ThObject = th } }
 
-// WithWindow overrides the moving-average window size (odd, >= 1).
+// WithWindow overrides the moving-average window size (odd, 1 to
+// imaging.MaxBoxWindow).
 func WithWindow(n int) Option { return func(o *Options) { o.Window = n } }
 
 // WithMedianKernel overrides the smoothing kernel (odd, >= 1; 0 disables).
@@ -80,10 +82,10 @@ func WithFillHoles(v bool) Option { return func(o *Options) { o.FillHoles = v } 
 
 // Extractor segments the jumper's silhouette from frames against a fixed
 // studio background. It is NOT safe for concurrent use: the hot path
-// reuses per-extractor scratch buffers across frames (the moving-average
-// image, its summed-area tables and the difference map), so concurrent
-// workers must each own an Extractor — the slj.Engine worker pool does
-// exactly that.
+// reuses per-extractor scratch buffers across frames (the filter column
+// sums, one averaged row and the difference map), so concurrent workers
+// must each own an Extractor — the slj.Engine worker pool does exactly
+// that.
 type Extractor struct {
 	opts   Options
 	bgRaw  *imaging.RGB // the background model itself (B)
@@ -93,10 +95,9 @@ type Extractor struct {
 
 	// Scratch reused across frames so steady-state extraction allocates
 	// only its final silhouette.
-	aAve *imaging.RGB            // step-ii moving average of the input frame
-	sat  []int64                 // summed-area tables backing aAve
-	crop *imaging.RGB            // ROI crop (ExtractInROI only)
-	d    []int                   // steps iii–iv absolute-difference sums
+	filt imaging.FilterScratch    // column sums of the box average and the median
+	row  []uint8                  // one averaged row of the input frame (A_ave)
+	d    []uint16                 // steps iii–iv absolute-difference sums, at most 3·255
 	comp imaging.ComponentScratch // largest-component labelling state (Smooth)
 
 	// sc times the detect/smooth stages; nil disables.
@@ -104,9 +105,9 @@ type Extractor struct {
 }
 
 // diffs returns the d scratch slice resized to n elements.
-func (e *Extractor) diffs(n int) []int {
+func (e *Extractor) diffs(n int) []uint16 {
 	if cap(e.d) < n {
-		e.d = make([]int, n) //slj:alloc-ok scratch regrow on first use or a larger frame, amortised across frames
+		e.d = make([]uint16, n) //slj:alloc-ok scratch regrow on first use or a larger frame, amortised across frames
 	}
 	e.d = e.d[:n]
 	return e.d
@@ -136,8 +137,8 @@ func NewExtractor(opts ...Option) (*Extractor, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.Window < 1 || o.Window%2 == 0 {
-		return nil, fmt.Errorf("extract: window %d must be odd and positive", o.Window)
+	if o.Window < 1 || o.Window%2 == 0 || o.Window > imaging.MaxBoxWindow {
+		return nil, fmt.Errorf("extract: window %d must be odd, positive and at most %d", o.Window, imaging.MaxBoxWindow)
 	}
 	if o.MedianKernel < 0 || (o.MedianKernel > 0 && o.MedianKernel%2 == 0) {
 		return nil, fmt.Errorf("extract: median kernel %d must be odd or zero", o.MedianKernel)
@@ -151,8 +152,8 @@ func NewExtractor(opts ...Option) (*Extractor, error) {
 // Options returns a copy of the effective configuration.
 func (e *Extractor) Options() Options { return e.opts }
 
-// SetScope attaches an observability scope: Extract/ExtractInROI time
-// their background-subtraction and smoothing phases into the detect and
+// SetScope attaches an observability scope: Extract times its
+// background-subtraction and smoothing phases into the detect and
 // smooth stage histograms. A nil scope (the default) disables timing.
 // Extractors are per-worker, so no synchronisation is needed.
 func (e *Extractor) SetScope(sc *obs.Scope) { e.sc = sc }
@@ -161,7 +162,7 @@ func (e *Extractor) SetScope(sc *obs.Scope) { e.sc = sc }
 // moving-window average B_ave (step i). It must be called before Extract.
 func (e *Extractor) SetBackground(bg *imaging.RGB) {
 	e.bgRaw = bg.Clone()
-	e.bgAve = imaging.BoxAverageRGB(bg, e.opts.Window)
+	e.bgAve = imaging.BoxAverageRGBInto(nil, bg, e.opts.Window, &e.filt)
 	e.width, e.height = bg.W, bg.H
 }
 
@@ -172,49 +173,6 @@ func (e *Extractor) Background() *imaging.RGB {
 		return nil
 	}
 	return e.bgRaw.Clone()
-}
-
-// UpdateBackground adapts the background model toward the current frame
-// with an exponential moving average, B = (1-rate)·B + rate·F, skipping
-// pixels covered by objMask (pass nil to update everywhere). This is the
-// running-average adaptation of the tracking method the paper borrows
-// its extraction from; it absorbs slow lighting drift that a static
-// model would misclassify as foreground. Not safe concurrently with
-// Extract.
-func (e *Extractor) UpdateBackground(frame *imaging.RGB, objMask *imaging.Binary, rate float64) error {
-	if e.bgRaw == nil {
-		return ErrNoBackground
-	}
-	if frame.W != e.width || frame.H != e.height {
-		return fmt.Errorf("extract: frame %dx%d does not match background %dx%d: %w", //slj:alloc-ok cold error path, mismatched frame is rejected
-			frame.W, frame.H, e.width, e.height, imaging.ErrDimensionMismatch)
-	}
-	if objMask != nil && (objMask.W != e.width || objMask.H != e.height) {
-		return fmt.Errorf("extract: mask %dx%d does not match background %dx%d: %w",
-			objMask.W, objMask.H, e.width, e.height, imaging.ErrDimensionMismatch)
-	}
-	if rate <= 0 || rate > 1 {
-		return fmt.Errorf("extract: update rate %v out of (0,1]", rate)
-	}
-	for p := 0; p < e.width*e.height; p++ {
-		if objMask != nil && objMask.Pix[p] != 0 {
-			continue
-		}
-		for c := 0; c < 3; c++ {
-			i := 3*p + c
-			old := float64(e.bgRaw.Pix[i])
-			nw := float64(frame.Pix[i])
-			v := old + rate*(nw-old)
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			e.bgRaw.Pix[i] = uint8(v + 0.5)
-		}
-	}
-	e.bgAve = imaging.BoxAverageRGB(e.bgRaw, e.opts.Window)
-	return nil
 }
 
 // Extract segments the moving object in frame, returning the smoothed
@@ -255,123 +213,57 @@ func (e *Extractor) ExtractRaw(frame *imaging.RGB) (*imaging.Binary, error) {
 // extractRawInto runs steps i–viii of the Section 2 algorithm into a
 // zeroed full-frame mask, reusing the extractor's scratch buffers. The
 // caller has already validated the frame.
+//
+// Step ii streams A_ave one row at a time (imaging.FilterScratch.BoxRow),
+// and steps iii–v consume each averaged row while it is in cache: the
+// row's |A_ave − B_ave| sums go into d and the running max, so no
+// full-frame A_ave is stored. Steps vi–viii are then one pass over d:
+// with shift = max − 255, clamp(D − shift, 0) > Th_Object is the same
+// test as D > Th_Object + shift, because Th_Object >= 0 makes every
+// clamped pixel fail both.
 func (e *Extractor) extractRawInto(frame *imaging.RGB, out *imaging.Binary) {
-	// Step ii: average the object frame.
-	e.aAve, e.sat = imaging.BoxAverageRGBInto(e.aAve, frame, e.opts.Window, e.sat)
-	aAve := e.aAve
-
-	// Steps iii–iv: D = sum of per-channel absolute differences.
-	n := e.width * e.height
-	d := e.diffs(n)
-	maxD := 0
-	for p := 0; p < n; p++ {
-		i := 3 * p
-		sum := 0
-		for c := 0; c < 3; c++ {
-			diff := int(aAve.Pix[i+c]) - int(e.bgAve.Pix[i+c])
-			if diff < 0 {
-				diff = -diff
-			}
-			sum += diff
-		}
-		d[p] = sum
-		if sum > maxD {
-			maxD = sum
+	w, h := e.width, e.height
+	d := e.diffs(w * h)
+	if cap(e.row) < 3*w {
+		e.row = make([]uint8, 3*w) //slj:alloc-ok row scratch regrow on first use or a wider frame, amortised across frames
+	}
+	row := e.row[:3*w]
+	maxD := uint16(0)
+	for y := 0; y < h; y++ {
+		// Step ii: average the object frame, one row.
+		e.filt.BoxRow(row, frame, e.opts.Window, y)
+		// Steps iii–iv: D = sum of per-channel absolute differences.
+		bg := e.bgAve.Pix[3*y*w : 3*(y+1)*w]
+		dr := d[y*w : (y+1)*w]
+		for x := range dr {
+			i := 3 * x
+			sum := absDiff(row[i], bg[i]) + absDiff(row[i+1], bg[i+1]) + absDiff(row[i+2], bg[i+2])
+			dr[x] = sum
+			maxD = max(maxD, sum)
 		}
 	}
 
-	// Steps v–vii: shift so max(D) = 255, clamp negatives to zero.
-	// (When the frame equals the background, maxD is 0 and the shift
-	// would brighten pure noise to 255; guard by emitting an empty mask.)
+	// Steps v–viii. When the frame equals the background, maxD is 0 and
+	// the shift would brighten pure noise to 255; guard by emitting an
+	// empty mask.
 	if maxD == 0 {
 		return
 	}
-	shift := maxD - 255
-	th := e.opts.ThObject
-	for p := 0; p < n; p++ {
-		r := d[p] - shift
-		if r < 0 {
-			r = 0
-		}
-		// Step viii: threshold.
-		if r > th {
-			out.Pix[p] = 1
+	th := e.opts.ThObject + int(maxD) - 255
+	mask := out.Pix[:len(d)]
+	for p, v := range d {
+		if int(v) > th {
+			mask[p] = 1
 		}
 	}
 }
 
-// ExtractInROI runs the Section 2 algorithm restricted to a region of
-// interest (e.g. the tracker's predicted window): steps ii–viii are
-// computed only inside roi, and everything outside is background. The
-// max-normalisation (step v) uses the ROI's maximum, which matches the
-// full-frame behaviour whenever the object lies inside the ROI. Pixels
-// within half a window of the ROI border see a slightly different moving
-// average than the full-frame computation; callers should pad the ROI by
-// at least Window/2 (the tracker's margin does).
-//
-// The result is a full-size silhouette with the ROI contents smoothed by
-// the configured post-processing.
-//slj:hotpath
-func (e *Extractor) ExtractInROI(frame *imaging.RGB, roi imaging.Rect) (*imaging.Binary, error) {
-	if err := e.check(frame); err != nil {
-		return nil, err
-	}
-	roi = roi.Intersect(frame.Bounds())
-	if roi.Empty() {
-		return imaging.NewBinary(e.width, e.height), nil
-	}
-	sp := e.sc.Start(obs.StageDetect)
-	e.crop = frame.CropInto(e.crop, roi)
-	e.aAve, e.sat = imaging.BoxAverageRGBInto(e.aAve, e.crop, e.opts.Window, e.sat)
-	aAve := e.aAve
-
-	w := roi.Dx()
-	d := e.diffs(w * roi.Dy())
-	maxD := 0
-	for y := 0; y < roi.Dy(); y++ {
-		for x := 0; x < w; x++ {
-			ai := 3 * (y*w + x)
-			bi := 3 * ((roi.Min.Y+y)*e.width + roi.Min.X + x)
-			sum := 0
-			for c := 0; c < 3; c++ {
-				diff := int(aAve.Pix[ai+c]) - int(e.bgAve.Pix[bi+c])
-				if diff < 0 {
-					diff = -diff
-				}
-				sum += diff
-			}
-			d[y*w+x] = sum
-			if sum > maxD {
-				maxD = sum
-			}
-		}
-	}
-	out := imaging.GetBinary(e.width, e.height)
-	if maxD == 0 {
-		sp.End()
-		return out, nil
-	}
-	shift := maxD - 255
-	th := e.opts.ThObject
-	for y := 0; y < roi.Dy(); y++ {
-		for x := 0; x < w; x++ {
-			r := d[y*w+x] - shift
-			if r < 0 {
-				r = 0
-			}
-			if r > th {
-				out.Pix[(roi.Min.Y+y)*e.width+roi.Min.X+x] = 1
-			}
-		}
-	}
-	sp.End()
-	sp = e.sc.Start(obs.StageSmooth)
-	res := e.Smooth(out)
-	sp.End()
-	if res != out {
-		imaging.PutBinary(out)
-	}
-	return res, nil
+// absDiff returns |a − b| without a branch: the sign of a noisy
+// difference is unpredictable.
+func absDiff(a, b uint8) uint16 {
+	d := int32(a) - int32(b)
+	m := d >> 31
+	return uint16((d ^ m) - m)
 }
 
 // Smooth applies the configured silhouette post-processing (median filter,
@@ -391,7 +283,7 @@ func (e *Extractor) Smooth(raw *imaging.Binary) *imaging.Binary {
 	}
 	if e.opts.MedianKernel > 0 {
 		//slj:pool-escapes MedianFilterBinaryInto returns dst; a later step (or the caller) Puts it
-		step(imaging.MedianFilterBinaryInto(imaging.GetBinary(cur.W, cur.H), cur, e.opts.MedianKernel))
+		step(imaging.MedianFilterBinaryInto(imaging.GetBinary(cur.W, cur.H), cur, e.opts.MedianKernel, &e.filt))
 	}
 	if e.opts.FillHoles {
 		step(imaging.FillHoles(cur, imaging.Connect8)) //slj:alloc-ok hole filling is opt-in (off by default); its flood scratch sits outside the zero-alloc contract

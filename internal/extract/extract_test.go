@@ -2,6 +2,7 @@ package extract
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -142,6 +143,7 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"even window", []Option{WithWindow(4)}},
 		{"zero window", []Option{WithWindow(0)}},
+		{"window past the exact-division range", []Option{WithWindow(imaging.MaxBoxWindow + 2)}},
 		{"negative threshold", []Option{WithThObject(-1)}},
 		{"huge threshold", []Option{WithThObject(300)}},
 		{"even median", []Option{WithMedianKernel(2)}},
@@ -323,6 +325,49 @@ func TestExtractNoCrossFrameBleed(t *testing.T) {
 	}
 }
 
+// UpdateBackground adapts the background model toward the current frame
+// with an exponential moving average, B = (1-rate)·B + rate·F, skipping
+// pixels covered by objMask (pass nil to update everywhere). This is the
+// running-average adaptation of the tracking method the paper borrows
+// its extraction from; it absorbs slow lighting drift that a static
+// model would misclassify as foreground. No pipeline path adapts the
+// background, so it lives here, with the tests that exercise it.
+func (e *Extractor) UpdateBackground(frame *imaging.RGB, objMask *imaging.Binary, rate float64) error {
+	if e.bgRaw == nil {
+		return ErrNoBackground
+	}
+	if frame.W != e.width || frame.H != e.height {
+		return fmt.Errorf("extract: frame %dx%d does not match background %dx%d: %w",
+			frame.W, frame.H, e.width, e.height, imaging.ErrDimensionMismatch)
+	}
+	if objMask != nil && (objMask.W != e.width || objMask.H != e.height) {
+		return fmt.Errorf("extract: mask %dx%d does not match background %dx%d: %w",
+			objMask.W, objMask.H, e.width, e.height, imaging.ErrDimensionMismatch)
+	}
+	if rate <= 0 || rate > 1 {
+		return fmt.Errorf("extract: update rate %v out of (0,1]", rate)
+	}
+	for p := 0; p < e.width*e.height; p++ {
+		if objMask != nil && objMask.Pix[p] != 0 {
+			continue
+		}
+		for c := 0; c < 3; c++ {
+			i := 3*p + c
+			old := float64(e.bgRaw.Pix[i])
+			nw := float64(frame.Pix[i])
+			v := old + rate*(nw-old)
+			if v < 0 {
+				v = 0
+			} else if v > 255 {
+				v = 255
+			}
+			e.bgRaw.Pix[i] = uint8(v + 0.5)
+		}
+	}
+	e.bgAve = imaging.BoxAverageRGBInto(e.bgAve, e.bgRaw, e.opts.Window, &e.filt)
+	return nil
+}
+
 func TestUpdateBackgroundAbsorbsDrift(t *testing.T) {
 	// A scene with a bright object whose backdrop lighting drifts upward
 	// heavily: the max-normalisation keys on the object, and once the
@@ -454,53 +499,6 @@ func TestBackgroundAccessor(t *testing.T) {
 	again := e.Background()
 	if r, _, _ := again.At(3, 3); r != 9 {
 		t.Error("Background returned an aliased buffer")
-	}
-}
-
-func TestExtractInROIMatchesFullFrame(t *testing.T) {
-	bg, frame := makeScene(96, 96, 21, 30, 30, 66, 66)
-	e := newTestExtractor(t)
-	e.SetBackground(bg)
-	full, err := e.Extract(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ROI generously around the object (margin >> window/2).
-	roi := imaging.NewRect(20, 20, 76, 76)
-	inROI, err := e.ExtractInROI(frame, roi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inside the ROI interior the two must agree.
-	for y := 26; y < 70; y++ {
-		for x := 26; x < 70; x++ {
-			if full.At(x, y) != inROI.At(x, y) {
-				t.Fatalf("ROI extraction differs at (%d,%d)", x, y)
-			}
-		}
-	}
-	// Outside the ROI everything is background.
-	if inROI.At(5, 5) != 0 || inROI.At(90, 90) != 0 {
-		t.Error("ROI extraction leaked outside the region")
-	}
-}
-
-func TestExtractInROIValidation(t *testing.T) {
-	e := newTestExtractor(t)
-	if _, err := e.ExtractInROI(imaging.NewRGB(8, 8), imaging.NewRect(0, 0, 4, 4)); !errors.Is(err, ErrNoBackground) {
-		t.Errorf("err = %v, want ErrNoBackground", err)
-	}
-	e.SetBackground(imaging.NewRGB(16, 16))
-	if _, err := e.ExtractInROI(imaging.NewRGB(8, 8), imaging.NewRect(0, 0, 4, 4)); !errors.Is(err, imaging.ErrDimensionMismatch) {
-		t.Errorf("err = %v, want ErrDimensionMismatch", err)
-	}
-	// Empty ROI: empty mask, no error.
-	mask, err := e.ExtractInROI(imaging.NewRGB(16, 16), imaging.NewRect(20, 20, 24, 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask.Count() != 0 {
-		t.Error("out-of-frame ROI should yield an empty mask")
 	}
 }
 

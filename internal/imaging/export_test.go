@@ -1,0 +1,7 @@
+package imaging
+
+// The previous kernels, for the external oracle tests.
+var (
+	BoxAverageRGBRef      = boxAverageRGBRef
+	MedianFilterBinaryRef = medianFilterBinaryRef
+)

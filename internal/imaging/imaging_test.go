@@ -303,7 +303,7 @@ func TestMedianFilterGray(t *testing.T) {
 	g := NewGray(3, 3)
 	g.Fill(100)
 	g.Set(1, 1, 255) // hot pixel
-	out := MedianFilterGray(g, 3)
+	out := medianFilterGray(g, 3)
 	if out.At(1, 1) != 100 {
 		t.Errorf("median should suppress the hot pixel, got %d", out.At(1, 1))
 	}
@@ -312,7 +312,7 @@ func TestMedianFilterGray(t *testing.T) {
 func TestMedianFilterGrayIdentityOnConstant(t *testing.T) {
 	g := NewGray(8, 8)
 	g.Fill(42)
-	out := MedianFilterGray(g, 5)
+	out := medianFilterGray(g, 5)
 	for _, v := range out.Pix {
 		if v != 42 {
 			t.Fatal("median of constant image changed a pixel")
@@ -409,7 +409,7 @@ func TestDilateErodeDuality(t *testing.T) {
 .###.
 .....
 `)
-	d := Dilate(b)
+	d := dilate(b)
 	if d.Count() != 25 {
 		t.Errorf("dilate of 3x3 block in 5x5 should fill image, got %d", d.Count())
 	}
@@ -422,7 +422,7 @@ func TestDilateErodeDuality(t *testing.T) {
 func TestOpenRemovesSpeckleClosesHole(t *testing.T) {
 	speckle := NewBinary(10, 10)
 	speckle.Set(5, 5, 1)
-	if Open(speckle).Count() != 0 {
+	if openBinary(speckle).Count() != 0 {
 		t.Error("Open should remove isolated speckle")
 	}
 
@@ -433,7 +433,7 @@ func TestOpenRemovesSpeckleClosesHole(t *testing.T) {
 		}
 	}
 	holed.Set(4, 4, 0)
-	closed := Close(holed)
+	closed := closeBinary(holed)
 	if closed.At(4, 4) != 1 {
 		t.Error("Close should fill a single-pixel hole")
 	}
@@ -444,7 +444,7 @@ func TestErodeDilateProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		b := quickBinary(rr, 12, 12, 0.5)
-		e, d := Erode(b), Dilate(b)
+		e, d := Erode(b), dilate(b)
 		for i := range b.Pix {
 			if e.Pix[i] == 1 && b.Pix[i] == 0 {
 				return false

@@ -186,11 +186,11 @@ func TestBoxAverageRGBIntoMatchesAlloc(t *testing.T) {
 	}
 	want := BoxAverageRGB(src, 3)
 	var dst *RGB
-	var sat []int64
+	var sc FilterScratch
 	// Run twice through the same scratch: the second pass must not be
 	// polluted by the first.
 	for pass := 0; pass < 2; pass++ {
-		dst, sat = BoxAverageRGBInto(dst, src, 3, sat)
+		dst = BoxAverageRGBInto(dst, src, 3, &sc)
 		if dst.W != want.W || dst.H != want.H {
 			t.Fatalf("pass %d: got %dx%d", pass, dst.W, dst.H)
 		}
@@ -206,7 +206,7 @@ func TestBoxAverageRGBIntoMatchesAlloc(t *testing.T) {
 		small.Pix[i] = uint8(i)
 	}
 	wantSmall := BoxAverageRGB(small, 5)
-	dst, _ = BoxAverageRGBInto(dst, small, 5, sat)
+	dst = BoxAverageRGBInto(dst, small, 5, &sc)
 	for i := range wantSmall.Pix {
 		if dst.Pix[i] != wantSmall.Pix[i] {
 			t.Fatalf("small: pixel %d = %d, want %d", i, dst.Pix[i], wantSmall.Pix[i])
@@ -227,7 +227,7 @@ func TestMedianFilterBinaryIntoMatchesAlloc(t *testing.T) {
 	for i := range dst.Pix {
 		dst.Pix[i] = 1
 	}
-	got := MedianFilterBinaryInto(dst, src, 3)
+	got := MedianFilterBinaryInto(dst, src, 3, &FilterScratch{})
 	if !got.Equal(want) {
 		t.Fatal("Into result differs from allocating variant")
 	}

@@ -310,8 +310,7 @@ func (g *Graph) Components() [][]int {
 	}
 	groups := make(map[int][]int)
 	// Collect components in order of their lowest node index so the
-	// result (and every tie-break downstream, e.g. in
-	// LargestComponentNodes) is deterministic.
+	// result (and every tie-break downstream) is deterministic.
 	var roots []int
 	for i := range g.Nodes {
 		if g.Degree(i) == 0 {
@@ -332,7 +331,7 @@ func (g *Graph) Components() [][]int {
 
 // MarkLargestComponent writes membership of the largest component — the
 // one with the greatest summed live-segment pixel length, ties broken by
-// lowest node index, the same ordering LargestComponentNodes uses — into a
+// lowest node index, the order Components lists them in — into a
 // node-indexed mask and returns it. The provided mask is reused when it
 // has capacity (pass nil to allocate fresh); nodes with no live segment
 // are never marked, and an all-false mask means the graph has no live
@@ -368,8 +367,7 @@ func (g *Graph) MarkLargestComponent(mask []bool) []bool {
 		}
 	}
 	// Scanning nodes in ascending order and replacing only on strictly
-	// greater totals reproduces Components'/LargestComponentNodes'
-	// lowest-node-index tie-break.
+	// greater totals keeps Components' lowest-node-index tie-break.
 	best, bestLen := -1, -1
 	for i := 0; i < n; i++ {
 		if g.Degree(i) == 0 {
@@ -388,28 +386,4 @@ func (g *Graph) MarkLargestComponent(mask []bool) []bool {
 		}
 	}
 	return mask
-}
-
-// LargestComponentNodes returns the node indices of the component with the
-// greatest total pixel length, or nil when the graph is empty.
-func (g *Graph) LargestComponentNodes() []int {
-	comps := g.Components()
-	var best []int
-	bestLen := -1
-	for _, nodes := range comps {
-		inComp := make(map[int]bool, len(nodes))
-		for _, n := range nodes {
-			inComp[n] = true
-		}
-		total := 0
-		for si, s := range g.Segments {
-			if !g.dead[si] && inComp[s.A] {
-				total += s.Len()
-			}
-		}
-		if total > bestLen {
-			bestLen, best = total, nodes
-		}
-	}
-	return best
 }

@@ -129,6 +129,6 @@ func medialAxisRidge(b *imaging.Binary) *imaging.Binary {
 // skeleton of the full shape, may be fragmented on noisy silhouettes.
 func medialAxis(b *imaging.Binary) *imaging.Binary {
 	ridge := medialAxisRidge(b)
-	thinZhangSuen(ridge)
+	peel(ridge, ridge, zhangSuenTables)
 	return ridge
 }

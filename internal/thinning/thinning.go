@@ -10,7 +10,11 @@
 // Section 3 post-processing exists to repair exactly those artefacts.
 package thinning
 
-import "repro/internal/imaging"
+import (
+	"sync"
+
+	"repro/internal/imaging"
+)
 
 // Algorithm selects a thinning variant.
 type Algorithm int
@@ -80,14 +84,12 @@ func ThinIntoCounted(dst *imaging.Binary, src *imaging.Binary, alg Algorithm) (*
 	passes := 1
 	switch alg {
 	case GuoHall:
-		copy(dst.Pix, src.Pix)
-		passes = thinGuoHall(dst)
+		passes = peel(dst, src, guoHallTables)
 	case MedialAxis:
 		m := medialAxis(src)
 		copy(dst.Pix, m.Pix)
 	default:
-		copy(dst.Pix, src.Pix)
-		passes = thinZhangSuen(dst)
+		passes = peel(dst, src, zhangSuenTables)
 	}
 	return dst, passes
 }
@@ -126,20 +128,17 @@ func sumNeighbors(p [8]uint8) int {
 	return n
 }
 
-// thinZhangSuen applies the classical two-subiteration Zhang–Suen thinning
-// in place until no pixel changes.
-//
-// Subiteration 1 deletes P1 if:
+// zhangSuenDeletes is the Zhang–Suen deletion rule for a foreground
+// pixel with neighbourhood p (P2..P9 order: N, NE, E, SE, S, SW, W, NW).
+// Subiteration 0 deletes P1 if:
 //
 //	(a) 2 <= B(P1) <= 6
 //	(b) A(P1) == 1
 //	(c) P2 * P4 * P6 == 0   (north × east × south)
 //	(d) P4 * P6 * P8 == 0   (east × south × west)
 //
-// Subiteration 2 replaces (c)/(d) with P2*P4*P8 == 0 and P2*P6*P8 == 0.
-//
-// Returns the number of iterations run (including the final stable one).
-func thinZhangSuen(img *imaging.Binary) int {
+// Subiteration 1 replaces (c)/(d) with P2*P4*P8 == 0 and P2*P6*P8 == 0.
+func zhangSuenDeletes(p [8]uint8, sub int) bool {
 	// Indices into the P2..P9 ordering: P2=0 (N), P3=1, P4=2 (E), P5=3,
 	// P6=4 (S), P7=5, P8=6 (W), P9=7.
 	const (
@@ -148,116 +147,224 @@ func thinZhangSuen(img *imaging.Binary) int {
 		pS = 4
 		pW = 6
 	)
-	del := make([]int, 0, 256) //slj:alloc-ok one small fixed worklist per frame, counted in the bench-gate baseline
-	passes := 0
-	for {
-		passes++
-		changed := false
-		for sub := 0; sub < 2; sub++ {
-			del = del[:0]
-			for y := 0; y < img.H; y++ {
-				for x := 0; x < img.W; x++ {
-					if img.Pix[y*img.W+x] == 0 {
-						continue
-					}
-					p := neighborhood(img, x, y)
-					bN := sumNeighbors(p)
-					if bN < 2 || bN > 6 {
-						continue
-					}
-					if transitions(p) != 1 {
-						continue
-					}
-					var c1, c2 bool
-					if sub == 0 {
-						c1 = p[pN]*p[pE]*p[pS] == 0
-						c2 = p[pE]*p[pS]*p[pW] == 0
-					} else {
-						c1 = p[pN]*p[pE]*p[pW] == 0
-						c2 = p[pN]*p[pS]*p[pW] == 0
-					}
-					if c1 && c2 {
-						del = append(del, y*img.W+x)
-					}
-				}
-			}
-			if len(del) > 0 {
-				changed = true
-				for _, i := range del {
-					img.Pix[i] = 0
-				}
-			}
-		}
-		if !changed {
-			return passes
-		}
+	if bN := sumNeighbors(p); bN < 2 || bN > 6 {
+		return false
 	}
+	if transitions(p) != 1 {
+		return false
+	}
+	if sub == 0 {
+		return p[pN]*p[pE]*p[pS] == 0 && p[pE]*p[pS]*p[pW] == 0
+	}
+	return p[pN]*p[pE]*p[pW] == 0 && p[pN]*p[pS]*p[pW] == 0
 }
 
-// thinGuoHall applies Guo–Hall (1989) thinning in place until stable.
-// Returns the number of iterations run (including the final stable one).
-func thinGuoHall(img *imaging.Binary) int {
-	del := make([]int, 0, 256) //slj:alloc-ok one small fixed worklist per frame, counted in the bench-gate baseline
-	passes := 0
-	for {
-		passes++
-		changed := false
-		for sub := 0; sub < 2; sub++ {
-			del = del[:0]
-			for y := 0; y < img.H; y++ {
-				for x := 0; x < img.W; x++ {
-					if img.Pix[y*img.W+x] == 0 {
-						continue
-					}
-					p := neighborhood(img, x, y)
-					// Guo–Hall uses p1..p8 = N, NE, E, SE, S, SW, W, NW
-					// which matches our ordering exactly.
-					c := 0
-					for i := 0; i < 4; i++ {
-						a, b1, b2 := p[2*i], p[(2*i+1)%8], p[(2*i+2)%8]
-						if a == 0 && (b1 == 1 || b2 == 1) {
-							c++
-						}
-					}
-					n1 := 0
-					n2 := 0
-					for i := 0; i < 4; i++ {
-						if p[(2*i+7)%8] == 1 || p[2*i] == 1 {
-							n1++
-						}
-						if p[2*i] == 1 || p[(2*i+1)%8] == 1 {
-							n2++
-						}
-					}
-					n := n1
-					if n2 < n1 {
-						n = n2
-					}
-					// m of Guo–Hall: subiteration 0 uses
-					// (p6 ∨ p7 ∨ ¬p9) ∧ p8, subiteration 1 the
-					// 180°-rotated (p2 ∨ p3 ∨ ¬p5) ∧ p4.
-					var cond bool
-					if sub == 0 {
-						cond = (p[4] == 1 || p[5] == 1 || p[7] == 0) && p[6] == 1
-					} else {
-						cond = (p[0] == 1 || p[1] == 1 || p[3] == 0) && p[2] == 1
-					}
-					if c == 1 && n >= 2 && n <= 3 && !cond {
-						del = append(del, y*img.W+x)
-					}
-				}
-			}
-			if len(del) > 0 {
-				changed = true
-				for _, i := range del {
-					img.Pix[i] = 0
-				}
-			}
-		}
-		if !changed {
-			return passes
+// guoHallDeletes is the Guo–Hall (1989) deletion rule for a foreground
+// pixel with neighbourhood p. Guo–Hall's p1..p8 = N, NE, E, SE, S, SW, W,
+// NW matches the P2..P9 ordering exactly.
+func guoHallDeletes(p [8]uint8, sub int) bool {
+	c := 0
+	for i := 0; i < 4; i++ {
+		a, b1, b2 := p[2*i], p[(2*i+1)%8], p[(2*i+2)%8]
+		if a == 0 && (b1 == 1 || b2 == 1) {
+			c++
 		}
 	}
+	n1 := 0
+	n2 := 0
+	for i := 0; i < 4; i++ {
+		if p[(2*i+7)%8] == 1 || p[2*i] == 1 {
+			n1++
+		}
+		if p[2*i] == 1 || p[(2*i+1)%8] == 1 {
+			n2++
+		}
+	}
+	n := min(n1, n2)
+	// m of Guo–Hall: subiteration 0 uses (p6 ∨ p7 ∨ ¬p9) ∧ p8,
+	// subiteration 1 the 180°-rotated (p2 ∨ p3 ∨ ¬p5) ∧ p4.
+	var cond bool
+	if sub == 0 {
+		cond = (p[4] == 1 || p[5] == 1 || p[7] == 0) && p[6] == 1
+	} else {
+		cond = (p[0] == 1 || p[1] == 1 || p[3] == 0) && p[2] == 1
+	}
+	return c == 1 && n >= 2 && n <= 3 && !cond
+}
+
+// deletionTables tabulates a two-subiteration deletion rule: entry
+// [sub][m] says whether subiteration sub deletes a foreground pixel whose
+// neighbourhood byte is m, bit i of m set when neighbour i (P2..P9 order)
+// is foreground. A peel then decides each pixel with one lookup.
+type deletionTables [2][256]bool
+
+var (
+	zhangSuenTables = tabulate(zhangSuenDeletes)
+	guoHallTables   = tabulate(guoHallDeletes)
+)
+
+// tabulate evaluates rule on all 256 neighbourhoods per subiteration.
+func tabulate(rule func(p [8]uint8, sub int) bool) *deletionTables {
+	t := new(deletionTables)
+	for sub := range t {
+		for m := range t[sub] {
+			var p [8]uint8
+			for i := range p {
+				p[i] = uint8(m >> i & 1)
+			}
+			t[sub][m] = rule(p, sub)
+		}
+	}
+	return t
+}
+
+// peelScratch is the working state of one peel, recycled through
+// peelFree so steady-state thinning allocates nothing.
+type peelScratch struct {
+	pad  []uint8    // the image with a 1-pixel zero border
+	mark []uint8    // 1 while a pixel sits in cand; all zero between peels
+	cand []int32    // pixels to re-test in the current subiteration
+	del  [2][]int32 // deletions of the last two subiterations, by parity
+}
+
+// peelFree holds the idle peel scratch. It is a free list rather than a
+// sync.Pool: a pool keeps one private item per P and empties at every
+// other GC, so a thinning goroutine that moves between Ps would now and
+// then allocate a fresh scratch of twice the frame. The free list keeps
+// one scratch per concurrent peel for the life of the process.
+var peelFree struct {
+	sync.Mutex
+	idle []*peelScratch
+}
+
+// getPeel takes an idle scratch, or a new one when none is idle.
+func getPeel() *peelScratch {
+	peelFree.Lock()
+	defer peelFree.Unlock()
+	n := len(peelFree.idle)
+	if n == 0 {
+		return new(peelScratch)
+	}
+	sc := peelFree.idle[n-1]
+	peelFree.idle = peelFree.idle[:n-1]
+	return sc
+}
+
+// putPeel returns a scratch to the free list.
+func putPeel(sc *peelScratch) {
+	peelFree.Lock()
+	defer peelFree.Unlock()
+	peelFree.idle = append(peelFree.idle, sc)
+}
+
+// grow reslices buf to n elements, reallocating when capacity is short.
+// The contents are not cleared.
+func grow(buf []uint8, n int) []uint8 {
+	if cap(buf) < n {
+		return make([]uint8, n) //slj:alloc-ok peel scratch regrow on first use or a larger frame, amortised across frames
+	}
+	return buf[:n]
+}
+
+// peel thins src into dst (which may be src) with the two-subiteration
+// rule in tab, repeating until an iteration deletes nothing. It returns
+// the number of iterations run, including the final stable one.
+//
+// Subiteration t decides every pixel against the image as it stood
+// before t and then deletes the chosen set at once. A pixel's verdict
+// depends only on its own value, its eight neighbours and t's parity, so
+// subiteration t can only reach a different verdict than t−2 (same
+// parity) for a pixel whose 3×3 neighbourhood changed since — that is,
+// one next to a deletion made in t−1 or t−2. Subiterations 0 and 1 test
+// every foreground pixel (0 by scanning the frame, 1 from the foreground
+// list 0 collected); each later one re-tests only the pixels next to
+// those deletions, which gives exactly the deletions of testing every
+// pixel every time.
+func peel(dst, src *imaging.Binary, tab *deletionTables) int {
+	sc := getPeel() //slj:alloc-ok free-list round trip under a mutex; allocates only the first scratch per concurrent peel
+	w, h := src.W, src.H
+	pw := w + 2
+	pad := grow(sc.pad, pw*(h+2))
+	clear(pad)
+	for y := 0; y < h; y++ {
+		copy(pad[(y+1)*pw+1:], src.Pix[y*w:(y+1)*w])
+	}
+	mark := grow(sc.mark, len(pad))
+	// Neighbour offsets in P2..P9 order; bit i of a neighbourhood byte
+	// is pad[q+nb[i]].
+	nb := [8]int{-pw, -pw + 1, 1, pw + 1, pw, pw - 1, -1, -pw - 1}
+	code := func(q int) uint8 {
+		return pad[q+nb[0]] | pad[q+nb[1]]<<1 | pad[q+nb[2]]<<2 | pad[q+nb[3]]<<3 |
+			pad[q+nb[4]]<<4 | pad[q+nb[5]]<<5 | pad[q+nb[6]]<<6 | pad[q+nb[7]]<<7
+	}
+	around := [9]int{-pw - 1, -pw, -pw + 1, -1, 0, 1, pw - 1, pw, pw + 1}
+	cand := sc.cand[:0]
+	passes := 0
+	for t := 0; ; t++ {
+		sub := t & 1
+		rule := &tab[sub]
+		del := sc.del[sub][:0] // t−2's deletions, still read below for t >= 2
+		switch t {
+		case 0:
+			// Scan the whole frame once, keeping the foreground as
+			// subiteration 1's candidates.
+			for y := 1; y <= h; y++ {
+				for x, v := range pad[y*pw+1 : y*pw+1+w] {
+					if v == 0 {
+						continue
+					}
+					q := y*pw + 1 + x
+					cand = append(cand, int32(q))
+					if rule[code(q)] {
+						del = append(del, int32(q))
+					}
+				}
+			}
+		case 1:
+			for _, q := range cand {
+				if pad[q] != 0 && rule[code(int(q))] {
+					del = append(del, q)
+				}
+			}
+		default:
+			// Queue the foreground neighbours of the last two
+			// subiterations' deletions, each once.
+			cand = cand[:0]
+			for _, list := range sc.del {
+				for _, d := range list {
+					for _, o := range around {
+						if q := int(d) + o; pad[q] != 0 && mark[q] == 0 {
+							mark[q] = 1
+							cand = append(cand, int32(q))
+						}
+					}
+				}
+			}
+			for _, q := range cand {
+				mark[q] = 0
+				if rule[code(int(q))] {
+					del = append(del, q)
+				}
+			}
+		}
+		for _, q := range del {
+			pad[q] = 0
+		}
+		sc.del[sub] = del
+		if sub == 1 {
+			passes++
+			if len(sc.del[0]) == 0 && len(del) == 0 {
+				break
+			}
+		}
+	}
+	dst.W, dst.H = w, h
+	for y := 0; y < h; y++ {
+		copy(dst.Pix[y*w:(y+1)*w], pad[(y+1)*pw+1:])
+	}
+	sc.pad, sc.mark, sc.cand = pad, mark, cand
+	putPeel(sc) //slj:alloc-ok free-list round trip under a mutex; the list grows once per concurrent peel
+	return passes
 }
 
 // Metrics quantifies the artefacts of a raw thinning result, matching the

@@ -2,6 +2,7 @@ package thinning
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -324,4 +325,36 @@ func BenchmarkThinGuoHall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Thin(src, GuoHall)
 	}
+}
+
+// TestThinConcurrent runs peels from several goroutines at once, as the
+// engine's workers do: they share the scratch free list, and each must
+// still get the sequential result.
+func TestThinConcurrent(t *testing.T) {
+	shapes := []*imaging.Binary{
+		solidRect(40, 30, 4, 4, 36, 26),
+		solidRect(25, 50, 2, 10, 20, 45),
+		solidRect(64, 16, 0, 0, 64, 16),
+	}
+	want := make([]*imaging.Binary, len(shapes))
+	for i, s := range shapes {
+		want[i] = Thin(s, ZhangSuen)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := &imaging.Binary{}
+			for k := 0; k < 30; k++ {
+				i := (g + k) % len(shapes)
+				dst = ThinInto(dst, shapes[i], ZhangSuen)
+				if !dst.Equal(want[i]) {
+					t.Errorf("goroutine %d: shape %d differs from the sequential skeleton", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
