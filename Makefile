@@ -132,7 +132,7 @@ serve-smoke:
 # Results gate: rerun every experiment and compare a digest of its output
 # (artifact SHA-256 plus stdout with the wall-clock values masked) with
 # the committed PAPER_DIGEST.txt, so a change that moves any accuracy,
-# confusion matrix or figure fails. About 4 minutes. A change that is
+# confusion matrix or figure fails. About 2 minutes. A change that is
 # meant to move results regenerates the file with
 # `sh scripts/paper_digest.sh > PAPER_DIGEST.txt` and says why.
 paper-digest:

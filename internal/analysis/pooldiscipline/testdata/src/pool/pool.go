@@ -76,7 +76,7 @@ func cleanConditional(w, h int) *imaging.Binary {
 	return out
 }
 
-// cleanBranchReturn mirrors extract.ExtractInROI: one early return hands
+// cleanBranchReturn mirrors an extractor with an early exit: one return hands
 // the buffer to the caller, the other path recycles it. Having any Put
 // satisfies the discipline.
 func cleanBranchReturn(w, h int, early bool) *imaging.Binary {

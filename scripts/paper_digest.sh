@@ -12,7 +12,7 @@
 #   sh scripts/paper_digest.sh PAPER_DIGEST.txt
 #                                            # compare with a committed digest
 #
-# The full run takes about 4 minutes on one core.
+# The full run takes about 2 minutes on one core.
 set -eu
 
 workdir=$(mktemp -d)
