@@ -162,7 +162,7 @@ func (e *Extractor) SetScope(sc *obs.Scope) { e.sc = sc }
 // moving-window average B_ave (step i). It must be called before Extract.
 func (e *Extractor) SetBackground(bg *imaging.RGB) {
 	e.bgRaw = bg.Clone()
-	e.bgAve = imaging.BoxAverageRGBInto(nil, bg, e.opts.Window, &e.filt)
+	e.bgAve = imaging.BoxAverageRGB(bg, e.opts.Window)
 	e.width, e.height = bg.W, bg.H
 }
 
