@@ -226,6 +226,7 @@ type frameScratch struct {
 // newFrameScratch acquires the arenas. They stay with the System for its
 // lifetime; a System has no Close, so they are recycled by the GC rather
 // than returned to the arena pools.
+//
 //slj:hotpath
 func newFrameScratch() *frameScratch {
 	//slj:pool-escapes the arenas live for the owning System's lifetime
@@ -233,6 +234,7 @@ func newFrameScratch() *frameScratch {
 }
 
 // skeletonInto returns the reused w×h rasterisation target, zeroed.
+//
 //slj:hotpath
 func (fs *frameScratch) skeletonInto(w, h int) *imaging.Binary {
 	if fs.skeleton == nil {
@@ -247,6 +249,7 @@ func (fs *frameScratch) skeletonInto(w, h int) *imaging.Binary {
 // the imaging pool and records sil as the new outstanding one. Only
 // extractor-owned silhouettes may pass through here — never dataset-owned
 // ground-truth masks.
+//
 //slj:hotpath
 func (fs *frameScratch) retire(sil *imaging.Binary) {
 	if fs.prevSil != nil {
@@ -306,6 +309,7 @@ func (s *System) SetBackground(bg *imaging.RGB) { s.extractor.SetBackground(bg) 
 // AnalyzeSilhouette runs the configured skeleton front end (Section 3 +
 // feature encoding, or the GA stick-model fit) on an already-extracted
 // silhouette.
+//
 //slj:hotpath
 func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 	fa := FrameAnalysis{
@@ -434,6 +438,7 @@ func (s *System) analyzeGA(fa FrameAnalysis, sil *imaging.Binary) FrameAnalysis 
 
 // AnalyzeFrame extracts the silhouette from an RGB frame (requires
 // SetBackground first) and runs the skeleton front end on it.
+//
 //slj:hotpath
 func (s *System) AnalyzeFrame(frame *imaging.RGB) (FrameAnalysis, error) {
 	sil, err := s.extractor.Extract(frame)
@@ -498,6 +503,20 @@ func clipFrame(lc dataset.LabeledClip, i int) (synth.Frame, error) {
 	return fr, nil
 }
 
+// clipImage returns frame i's image alone, the extraction path's input.
+// Unlike clipFrame it leaves a streamed clip's ground-truth silhouette
+// undecoded.
+func clipImage(lc dataset.LabeledClip, i int) (*imaging.RGB, error) {
+	if lc.Reader == nil {
+		return lc.Clip.Frames[i].Image, nil
+	}
+	img, err := lc.Reader.ReadImage(i)
+	if err != nil {
+		return nil, fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
+	}
+	return img, nil
+}
+
 // silhouetteSource prepares per-frame silhouette production for a clip:
 // it installs the clip background (when extracting) and returns a closure
 // yielding frame i's silhouette. The closure reuses the System's
@@ -515,12 +534,12 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 		s.SetBackground(lc.Clip.Background)
 	}
 	return func(i int) (*imaging.Binary, error) {
-		fr, err := clipFrame(lc, i)
-		if err != nil {
-			s.opts.Scope.RecordError(errClassOf(err), err)
-			return nil, err
-		}
 		if s.opts.UseGroundTruthSilhouettes {
+			fr, err := clipFrame(lc, i)
+			if err != nil {
+				s.opts.Scope.RecordError(errClassOf(err), err)
+				return nil, err
+			}
 			if fr.Silhouette == nil {
 				err := fmt.Errorf("slj: clip %s frame %d has no ground-truth silhouette", lc.Name, i)
 				s.opts.Scope.RecordError(obs.ErrClassIO, err)
@@ -528,7 +547,12 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 			}
 			return fr.Silhouette, nil
 		}
-		sil, err := s.extractor.Extract(fr.Image)
+		img, err := clipImage(lc, i)
+		if err != nil {
+			s.opts.Scope.RecordError(errClassOf(err), err)
+			return nil, err
+		}
+		sil, err := s.extractor.Extract(img)
 		if err != nil {
 			err = fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
 			s.opts.Scope.RecordError(errClassOf(err), err)
@@ -684,15 +708,19 @@ func (s *System) MeasureJump(lc dataset.LabeledClip) (track.JumpMeasurement, err
 	}
 	tr := track.DefaultTracker()
 	for i := range lc.Clip.Frames {
-		fr, err := clipFrame(lc, i)
-		if err != nil {
-			return track.JumpMeasurement{}, err
-		}
 		var sil *imaging.Binary
 		if s.opts.UseGroundTruthSilhouettes {
+			fr, err := clipFrame(lc, i)
+			if err != nil {
+				return track.JumpMeasurement{}, err
+			}
 			sil = fr.Silhouette
 		} else {
-			if sil, err = s.extractor.Extract(fr.Image); err != nil {
+			img, err := clipImage(lc, i)
+			if err != nil {
+				return track.JumpMeasurement{}, err
+			}
+			if sil, err = s.extractor.Extract(img); err != nil {
 				return track.JumpMeasurement{}, fmt.Errorf("slj: frame %d: %w", i, err)
 			}
 		}

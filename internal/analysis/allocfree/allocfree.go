@@ -77,17 +77,20 @@ var allowExternalPkgs = map[string]bool{
 }
 
 var allowExternalFuncs = map[string]bool{
-	"errors.Is":                  true,
-	"errors.As":                  true,
-	"time.Now":                   true,
-	"time.Since":                 true,
-	"(time.Time).Sub":            true,
+	"errors.Is":                   true,
+	"errors.As":                   true,
+	"time.Now":                    true,
+	"time.Since":                  true,
+	"(time.Time).Sub":             true,
 	"(time.Duration).Nanoseconds": true,
-	"(time.Duration).Seconds":    true,
-	"slices.Sort":                true,
-	"slices.SortStableFunc":      true,
-	"sort.Search":                true,
-	"runtime.KeepAlive":          true,
+	"(time.Duration).Seconds":     true,
+	"slices.Sort":                 true,
+	"slices.SortStableFunc":       true,
+	"sort.Search":                 true,
+	"runtime.KeepAlive":           true,
+	// A fixed-width load from a slice; the compiler lowers it to one
+	// MOV.
+	"(encoding/binary.littleEndian).Uint64": true,
 }
 
 // Roots returns the //slj:hotpath-annotated root nodes of the graph,

@@ -58,7 +58,7 @@ func TestStaticAndInterfaceEdges(t *testing.T) {
 	main := one(t, g, "app.Main")
 	edges := outEdges(main)
 	for _, want := range []string{
-		"lib.Helper|static",      // cross-package static call
+		"lib.Helper|static",         // cross-package static call
 		"(app.Dog).Speak|interface", // same-package implementation
 		"(lib.Cat).Speak|interface", // cross-package implementation
 	} {

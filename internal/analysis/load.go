@@ -53,8 +53,8 @@ type Loader struct {
 	ExtraRoots []string
 
 	goroot  string
-	info    *types.Info          // shared across every full package check
-	full    map[string]*Package  // fully loaded packages by import path
+	info    *types.Info               // shared across every full package check
+	full    map[string]*Package       // fully loaded packages by import path
 	cache   map[string]*types.Package // shallow (GOROOT) dependency cache
 	loading map[string]bool
 }

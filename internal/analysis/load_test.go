@@ -101,8 +101,8 @@ func writeFixtureModule(t *testing.T, files map[string]string) string {
 // type checker.
 func TestLoadBuildTags(t *testing.T) {
 	dir := writeFixtureModule(t, map[string]string{
-		"tagged/a.go": "package tagged\n\nconst Mode = \"portable\"\n",
-		"tagged/b_never.go": "//go:build never\n\npackage tagged\n\nconst Mode = \"never\"\n",
+		"tagged/a.go":         "package tagged\n\nconst Mode = \"portable\"\n",
+		"tagged/b_never.go":   "//go:build never\n\npackage tagged\n\nconst Mode = \"never\"\n",
 		"tagged/c_otheros.go": "//go:build plan9\n\npackage tagged\n\nconst Mode = \"plan9\"\n",
 	})
 	if runtime.GOOS == "plan9" {

@@ -12,13 +12,13 @@ func TestNondet(t *testing.T) {
 
 func TestInPipeline(t *testing.T) {
 	cases := map[string]bool{
-		"repro/internal/dbn":           true,
-		"repro/internal/extract":       true,
-		"repro/internal/dataset":       true,
-		"pipe/dbn":                     true,
-		"repro/internal/obs":           false,
-		"repro/internal/extractor":     false, // segment match, not substring
-		"repro/cmd/sljtop":             false,
+		"repro/internal/dbn":       true,
+		"repro/internal/extract":   true,
+		"repro/internal/dataset":   true,
+		"pipe/dbn":                 true,
+		"repro/internal/obs":       false,
+		"repro/internal/extractor": false, // segment match, not substring
+		"repro/cmd/sljtop":         false,
 	}
 	for path, want := range cases {
 		if got := InPipeline(path); got != want {

@@ -10,11 +10,11 @@ import (
 )
 
 func Infer(seed int64) float64 {
-	t := time.Now()                  // want "time.Now \\(wall-clock read\\)"
-	_ = time.Since(t)                // want "time.Since \\(wall-clock read\\)"
-	_ = rand.Float64()               // want "rand.Float64 \\(global rand source\\)"
+	t := time.Now()                    // want "time.Now \\(wall-clock read\\)"
+	_ = time.Since(t)                  // want "time.Since \\(wall-clock read\\)"
+	_ = rand.Float64()                 // want "rand.Float64 \\(global rand source\\)"
 	rand.Shuffle(3, func(i, j int) {}) // want "rand.Shuffle \\(global rand source\\)"
-	_ = os.Getenv("SLJ_MODE")        // want "os.Getenv \\(environment read\\)"
+	_ = os.Getenv("SLJ_MODE")          // want "os.Getenv \\(environment read\\)"
 
 	// A locally constructed, explicitly seeded source is deterministic.
 	r := rand.New(rand.NewSource(seed))

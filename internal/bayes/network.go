@@ -244,30 +244,6 @@ func (n *Network) CPTRow(i, parentCfg int) []float64 {
 	return out
 }
 
-// JointLogProb returns the log joint probability of a complete assignment.
-func (n *Network) JointLogProb(assignment []int) (float64, error) {
-	if len(assignment) != len(n.nodes) {
-		return 0, fmt.Errorf("%w: got %d states for %d nodes", ErrIncomplete, len(assignment), len(n.nodes))
-	}
-	lp := 0.0
-	for i := range n.nodes {
-		row, err := n.parentConfig(i, assignment)
-		if err != nil {
-			return 0, err
-		}
-		s := assignment[i]
-		if s < 0 || s >= n.nodes[i].States {
-			return 0, fmt.Errorf("%w: node %q state %d", ErrBadState, n.nodes[i].Name, s)
-		}
-		p := n.Prob(i, row, s)
-		if p <= 0 {
-			return math.Inf(-1), nil
-		}
-		lp += math.Log(p)
-	}
-	return lp, nil
-}
-
 // TotalObservations returns the summed weight seen by Observe/Fit (taken
 // from the root-most node; all nodes see every observation).
 func (n *Network) TotalObservations() float64 {

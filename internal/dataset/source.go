@@ -243,24 +243,47 @@ func (r *ClipReader) NumFrames() int { return len(r.labels) }
 // Background returns the decoded clean backdrop frame.
 func (r *ClipReader) Background() *imaging.RGB { return r.bg }
 
-// ReadFrame decodes frame i: its RGB image (required) and its ground-
-// truth silhouette. A missing silhouette file is tolerated — silhouettes
-// are optional ground truth — but any other open or decode failure is
-// ErrCorrupt: a permission error or torn write must not silently
-// downgrade a ground-truth clip.
-func (r *ClipReader) ReadFrame(i int) (synth.Frame, error) {
-	if i < 0 || i >= len(r.labels) {
-		return synth.Frame{}, fmt.Errorf("%w: %s: frame %d out of range [0,%d)", ErrCorrupt, r.name, i, len(r.labels))
-	}
+// ReadImage decodes frame i's RGB image only, leaving its ground-truth
+// silhouette on disk: the extraction path computes its own silhouette,
+// so it has no use for the saved one. Any open or decode failure is
+// ErrCorrupt.
+func (r *ClipReader) ReadImage(i int) (*imaging.RGB, error) {
 	t0 := time.Now() //slj:nondet-ok decode-latency metric, never encoded in artifacts
+	img, err := r.readImage(i)
+	if err != nil {
+		return nil, err
+	}
+	r.scope.DecodeTime(time.Since(t0)) //slj:nondet-ok decode-latency metric, never encoded in artifacts
+	return img, nil
+}
+
+// readImage is ReadImage without the decode timing.
+func (r *ClipReader) readImage(i int) (*imaging.RGB, error) {
+	if i < 0 || i >= len(r.labels) {
+		return nil, fmt.Errorf("%w: %s: frame %d out of range [0,%d)", ErrCorrupt, r.name, i, len(r.labels))
+	}
 	ff, err := os.Open(filepath.Join(r.dir, fmt.Sprintf("frame-%03d.ppm", i)))
 	if err != nil {
-		return synth.Frame{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, r.name, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, r.name, err)
 	}
 	img, err := imaging.DecodePPM(ff)
 	ff.Close()
 	if err != nil {
-		return synth.Frame{}, fmt.Errorf("%w: %s: frame %d: %v", ErrCorrupt, r.name, i, err)
+		return nil, fmt.Errorf("%w: %s: frame %d: %v", ErrCorrupt, r.name, i, err)
+	}
+	return img, nil
+}
+
+// ReadFrame decodes frame i: its RGB image (as ReadImage) and its
+// ground-truth silhouette. A missing silhouette file is tolerated —
+// silhouettes are optional ground truth — but any other open or decode
+// failure is ErrCorrupt: a permission error or torn write must not
+// silently downgrade a ground-truth clip.
+func (r *ClipReader) ReadFrame(i int) (synth.Frame, error) {
+	t0 := time.Now() //slj:nondet-ok decode-latency metric, never encoded in artifacts
+	img, err := r.readImage(i)
+	if err != nil {
+		return synth.Frame{}, err
 	}
 	var sil *imaging.Binary
 	sf, err := os.Open(filepath.Join(r.dir, fmt.Sprintf("silhouette-%03d.pbm", i)))

@@ -132,17 +132,3 @@ func (c *Classifier) DecodeViterbi(encs []keypoint.Encoding) ([]pose.Pose, error
 	}
 	return out, nil
 }
-
-// TransitionMatrix exposes the learned smoothed bigram model (rows:
-// previous pose, 0 = clip start/Unknown; columns: current pose 1..22).
-// Intended for diagnostics and the EXT3 experiment report.
-func (c *Classifier) TransitionMatrix() [][]float64 {
-	out := make([][]float64, pose.NumPoses+1)
-	for q := 0; q <= pose.NumPoses; q++ {
-		out[q] = make([]float64, pose.NumPoses+1)
-		for p := 1; p <= pose.NumPoses; p++ {
-			out[q][p] = c.transitionProb(pose.Pose(q), pose.Pose(p))
-		}
-	}
-	return out
-}

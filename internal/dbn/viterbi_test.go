@@ -100,7 +100,7 @@ func TestViterbiRepairsIsolatedGarbageFrame(t *testing.T) {
 
 func TestTransitionModelLearned(t *testing.T) {
 	c := trainedClassifier(t, DefaultConfig(), 4, 85)
-	m := c.TransitionMatrix()
+	m := transitionMatrix(c)
 	// Self-transitions dominate (poses are held for several frames).
 	self := m[int(pose.AirTuck)][int(pose.AirTuck)]
 	jump := m[int(pose.AirTuck)][int(pose.StandHandsAtSides)]
@@ -158,4 +158,17 @@ func TestViterbiSurvivesSaveLoad(t *testing.T) {
 			t.Fatalf("frame %d: %v != %v after reload", i, want[i], got[i])
 		}
 	}
+}
+
+// transitionMatrix returns the learned smoothed bigram model (rows:
+// previous pose, 0 = clip start/Unknown; columns: current pose 1..22).
+func transitionMatrix(c *Classifier) [][]float64 {
+	out := make([][]float64, pose.NumPoses+1)
+	for q := 0; q <= pose.NumPoses; q++ {
+		out[q] = make([]float64, pose.NumPoses+1)
+		for p := 1; p <= pose.NumPoses; p++ {
+			out[q][p] = c.transitionProb(pose.Pose(q), pose.Pose(p))
+		}
+	}
+	return out
 }

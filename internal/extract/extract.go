@@ -98,19 +98,20 @@ type Extractor struct {
 	filt imaging.FilterScratch    // column sums of the box average and the median
 	row  []uint8                  // one averaged row of the input frame (A_ave)
 	d    []uint16                 // steps iii–iv absolute-difference sums, at most 3·255
+	dMax []uint16                 // the largest of each row of d
 	comp imaging.ComponentScratch // largest-component labelling state (Smooth)
 
 	// sc times the detect/smooth stages; nil disables.
 	sc *obs.Scope
 }
 
-// diffs returns the d scratch slice resized to n elements.
-func (e *Extractor) diffs(n int) []uint16 {
-	if cap(e.d) < n {
-		e.d = make([]uint16, n) //slj:alloc-ok scratch regrow on first use or a larger frame, amortised across frames
+// grabU16 resizes buf to n elements, reallocating only on capacity
+// growth. Contents are unspecified; callers overwrite them.
+func grabU16(buf []uint16, n int) []uint16 {
+	if cap(buf) < n {
+		return make([]uint16, n) //slj:alloc-ok scratch regrow on first use or a larger frame, amortised across frames
 	}
-	e.d = e.d[:n]
-	return e.d
+	return buf[:n]
 }
 
 // check validates the background model and frame dimensions.
@@ -177,6 +178,7 @@ func (e *Extractor) Background() *imaging.RGB {
 
 // Extract segments the moving object in frame, returning the smoothed
 // silhouette. The frame must match the background dimensions.
+//
 //slj:hotpath
 func (e *Extractor) Extract(frame *imaging.RGB) (*imaging.Binary, error) {
 	if err := e.check(frame); err != nil {
@@ -216,14 +218,16 @@ func (e *Extractor) ExtractRaw(frame *imaging.RGB) (*imaging.Binary, error) {
 //
 // Step ii streams A_ave one row at a time (imaging.FilterScratch.BoxRow),
 // and steps iii–v consume each averaged row while it is in cache: the
-// row's |A_ave − B_ave| sums go into d and the running max, so no
-// full-frame A_ave is stored. Steps vi–viii are then one pass over d:
-// with shift = max − 255, clamp(D − shift, 0) > Th_Object is the same
-// test as D > Th_Object + shift, because Th_Object >= 0 makes every
-// clamped pixel fail both.
+// row's |A_ave − B_ave| sums go into d and the row's maximum into dMax,
+// so no full-frame A_ave is stored. Steps vi–viii are then one pass over
+// the rows of d whose maximum passes the threshold; the mask's other rows
+// stay zero. With shift = max − 255, clamp(D − shift, 0) > Th_Object is
+// the same test as D > Th_Object + shift, because Th_Object >= 0 makes
+// every clamped pixel fail both.
 func (e *Extractor) extractRawInto(frame *imaging.RGB, out *imaging.Binary) {
 	w, h := e.width, e.height
-	d := e.diffs(w * h)
+	e.d, e.dMax = grabU16(e.d, w*h), grabU16(e.dMax, h)
+	d, dMax := e.d, e.dMax
 	if cap(e.row) < 3*w {
 		e.row = make([]uint8, 3*w) //slj:alloc-ok row scratch regrow on first use or a wider frame, amortised across frames
 	}
@@ -235,12 +239,15 @@ func (e *Extractor) extractRawInto(frame *imaging.RGB, out *imaging.Binary) {
 		// Steps iii–iv: D = sum of per-channel absolute differences.
 		bg := e.bgAve.Pix[3*y*w : 3*(y+1)*w]
 		dr := d[y*w : (y+1)*w]
+		rowMax := uint16(0)
 		for x := range dr {
 			i := 3 * x
 			sum := absDiff(row[i], bg[i]) + absDiff(row[i+1], bg[i+1]) + absDiff(row[i+2], bg[i+2])
 			dr[x] = sum
-			maxD = max(maxD, sum)
+			rowMax = max(rowMax, sum)
 		}
+		dMax[y] = rowMax
+		maxD = max(maxD, rowMax)
 	}
 
 	// Steps v–viii. When the frame equals the background, maxD is 0 and
@@ -250,10 +257,15 @@ func (e *Extractor) extractRawInto(frame *imaging.RGB, out *imaging.Binary) {
 		return
 	}
 	th := e.opts.ThObject + int(maxD) - 255
-	mask := out.Pix[:len(d)]
-	for p, v := range d {
-		if int(v) > th {
-			mask[p] = 1
+	for y, m := range dMax {
+		if int(m) <= th {
+			continue
+		}
+		mask := out.Pix[y*w : (y+1)*w]
+		for x, v := range d[y*w : (y+1)*w] {
+			if int(v) > th {
+				mask[x] = 1
+			}
 		}
 	}
 }

@@ -43,14 +43,15 @@ type Component struct {
 	Seed Point
 }
 
-// ComponentScratch carries the labelling state of Components between
-// calls so the per-frame hot path (extract.Smooth's largest-component
-// isolation) can relabel every frame without allocating. The zero value
-// is ready to use; a nil *ComponentScratch falls back to fresh
-// allocations. Not safe for concurrent use — callers own one per worker,
-// exactly like extract.Extractor's other scratch buffers.
+// ComponentScratch carries the labelling state of LargestComponentInto
+// between calls so the per-frame hot path (extract.Smooth's
+// largest-component isolation) can relabel every frame without
+// allocating. The zero value is ready to use; a nil *ComponentScratch
+// falls back to fresh allocations. Not safe for concurrent use — callers
+// own one per worker, exactly like extract.Extractor's other scratch
+// buffers.
 type ComponentScratch struct {
-	labels []int32
+	labels []int32 // label map of the foreground bounding rectangle
 	comps  []Component
 	stack  []Point
 }
@@ -61,7 +62,7 @@ func (s *ComponentScratch) grabLabels(n int) []int32 {
 		return make([]int32, n) //slj:alloc-ok nil-scratch fallback for one-shot callers without a ComponentScratch
 	}
 	if cap(s.labels) < n {
-		s.labels = make([]int32, n) //slj:alloc-ok scratch regrow on first use or a larger frame, amortised across frames
+		s.labels = make([]int32, n) //slj:alloc-ok scratch regrow on first use or a larger foreground, amortised across frames
 	}
 	s.labels = s.labels[:n]
 	clear(s.labels)
@@ -72,34 +73,43 @@ func (s *ComponentScratch) grabLabels(n int) []int32 {
 // connectivity. It returns the label map (0 = background, 1.. = region
 // labels, row-major, same size as b) and per-region metadata ordered by
 // label. The returned slices are freshly allocated and owned by the
-// caller; the hot path uses ComponentsInto instead.
+// caller.
 func Components(b *Binary, conn Connectivity) ([]int32, []Component) {
-	return componentsInto(nil, b, conn)
+	local, fg, comps := componentsInto(nil, b, conn)
+	labels := make([]int32, len(b.Pix))
+	fw := fg.Dx()
+	for y := fg.Min.Y; y < fg.Max.Y; y++ {
+		ly := y - fg.Min.Y
+		copy(labels[y*b.W+fg.Min.X:], local[ly*fw:(ly+1)*fw])
+	}
+	return labels, comps
 }
 
-// ComponentsInto is Components backed by reusable scratch: the label map
-// and component list alias sc's buffers and are valid only until the next
-// call on the same scratch.
-func (sc *ComponentScratch) ComponentsInto(b *Binary, conn Connectivity) ([]int32, []Component) {
-	return componentsInto(sc, b, conn)
-}
-
-func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) ([]int32, []Component) {
-	labels := sc.grabLabels(len(b.Pix))
-	var comps []Component
+// componentsInto labels b's foreground inside its bounding rectangle fg,
+// the only place it can be. The label map is fg.Dx()×fg.Dy(), row-major
+// from fg.Min. Scanning fg row by row meets the foreground in the same
+// order as scanning the whole frame, so every label, Seed and Bounds is
+// the one a full-frame scan gives.
+func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) (labels []int32, fg Rect, comps []Component) {
+	fg = b.ForegroundBounds()
+	fw := fg.Dx()
+	labels = sc.grabLabels(fw * fg.Dy())
 	var stack []Point
 	if sc != nil {
 		comps = sc.comps[:0]
 		stack = sc.stack[:0]
 	}
+	local := func(p Point) int { return (p.Y-fg.Min.Y)*fw + p.X - fg.Min.X }
 	offs := conn.offsets()
 	next := int32(0)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			idx := y*b.W + x
-			if b.Pix[idx] == 0 || labels[idx] != 0 {
+	for y := fg.Min.Y; y < fg.Max.Y; y++ {
+		row := b.Pix[y*b.W+fg.Min.X : y*b.W+fg.Max.X]
+		lrow := labels[(y-fg.Min.Y)*fw : (y-fg.Min.Y+1)*fw]
+		for i, v := range row {
+			if v == 0 || lrow[i] != 0 {
 				continue
 			}
+			x := fg.Min.X + i
 			next++
 			comp := Component{
 				Label:  int(next),
@@ -107,7 +117,7 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) ([]int32
 				Seed:   Point{x, y},
 			}
 			stack = append(stack[:0], Point{x, y})
-			labels[idx] = next
+			lrow[i] = next
 			for len(stack) > 0 {
 				p := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -115,11 +125,10 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) ([]int32
 				comp.Bounds = comp.Bounds.Union(NewRect(p.X, p.Y, p.X+1, p.Y+1))
 				for _, d := range offs {
 					q := p.Add(d)
-					if !q.In(b.W, b.H) {
+					if !fg.Contains(q) {
 						continue
 					}
-					qi := q.Y*b.W + q.X
-					if b.Pix[qi] != 0 && labels[qi] == 0 {
+					if qi := local(q); b.Pix[q.Y*b.W+q.X] != 0 && labels[qi] == 0 {
 						labels[qi] = next
 						stack = append(stack, q)
 					}
@@ -134,7 +143,7 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) ([]int32
 		sc.comps = comps
 		sc.stack = stack
 	}
-	return labels, comps
+	return labels, fg, comps
 }
 
 // LargestComponent returns a copy of b that keeps only its largest
@@ -148,9 +157,10 @@ func LargestComponent(b *Binary, conn Connectivity) *Binary {
 // LargestComponentInto writes b's largest foreground region into dst,
 // which must be a zeroed image of b's size (NewBinary or GetBinary
 // provide one), and returns dst. sc (optionally nil) supplies reusable
-// labelling scratch so the steady-state call allocates nothing.
+// labelling scratch so the steady-state call allocates nothing. Only the
+// winner's bounding rectangle of dst is written.
 func LargestComponentInto(dst, b *Binary, conn Connectivity, sc *ComponentScratch) *Binary {
-	labels, comps := componentsInto(sc, b, conn)
+	labels, fg, comps := componentsInto(sc, b, conn)
 	if len(comps) == 0 {
 		return dst
 	}
@@ -161,9 +171,14 @@ func LargestComponentInto(dst, b *Binary, conn Connectivity, sc *ComponentScratc
 		}
 	}
 	want := int32(best.Label)
-	for i, l := range labels {
-		if l == want {
-			dst.Pix[i] = 1
+	r, fw := best.Bounds, fg.Dx()
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		i := (y-fg.Min.Y)*fw + r.Min.X - fg.Min.X
+		out := dst.Pix[y*b.W+r.Min.X : y*b.W+r.Max.X]
+		for x, l := range labels[i : i+len(out)] {
+			if l == want {
+				out[x] = 1
+			}
 		}
 	}
 	return dst

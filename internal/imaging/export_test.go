@@ -4,4 +4,6 @@ package imaging
 var (
 	BoxAverageRGBRef      = boxAverageRGBRef
 	MedianFilterBinaryRef = medianFilterBinaryRef
+	ComponentsRef         = componentsRef
+	LargestComponentRef   = largestComponentRef
 )

@@ -30,34 +30,52 @@ func (sc *FilterScratch) grabCols(n int) []uint32 {
 	return sc.cols
 }
 
-// window prepares output row y of a sliding window of radius r over pix,
-// h rows of stride samples (RGB channels, or 0/1 binary pixels). Row 0
-// zeroes the per-column sums and adds the window's first r rows. It
-// returns the row entering the window at y (row y+r) and the row leaving
-// it (row y−r−1), either reading as zeros when off the image, and the
-// window's height. The caller moves each column's sum down a row,
+// span is the part of an image a sliding window reads: rows [y0, y1)
+// of pix, each the n samples at off within a row of stride samples
+// (RGB channels, or 0/1 binary pixels). Everything outside it reads as
+// zeros.
+type span struct {
+	pix                    []uint8
+	stride, off, n, y0, y1 int
+}
+
+// row returns image row y's part of the span.
+func (s span) row(y int) []uint8 {
+	i := y*s.stride + s.off
+	return s.pix[i : i+s.n]
+}
+
+// window prepares output row y of a sliding window of radius r over s.
+// Row s.y0 zeroes the per-column sums and adds the window's first r
+// rows. It returns the row entering the window at y (row y+r) and the
+// row leaving it (row y−r−1), either reading as zeros when outside s.
+// The caller moves each column's sum down a row,
 // cols[j] += in[j] − out[j], when its horizontal window first reaches
 // column j, so the vertical and horizontal slides share one pass.
-func (sc *FilterScratch) window(pix []uint8, stride, y, r, h int) (in, out []uint8, a int) {
-	if y == 0 {
-		clear(sc.grabCols(stride))
-		for yy := 0; yy < r && yy < h; yy++ {
-			addRow(sc.cols, pix[yy*stride:(yy+1)*stride])
+func (sc *FilterScratch) window(s span, y, r int) (in, out []uint8) {
+	if y == s.y0 {
+		clear(sc.grabCols(s.n))
+		for yy := s.y0; yy < s.y0+r && yy < s.y1; yy++ {
+			addRow(sc.cols, s.row(yy))
 		}
-		if cap(sc.zero) < stride {
-			sc.zero = make([]uint8, stride) //slj:alloc-ok zero-row scratch regrow on first use or a wider frame, amortised across frames
+		if cap(sc.zero) < s.n {
+			sc.zero = make([]uint8, s.n) //slj:alloc-ok zero-row scratch regrow on first use or a wider frame, amortised across frames
 		}
 		sc.rows = 0
 	}
-	in, out = sc.zero[:stride], sc.zero[:stride]
-	if yy := y + r; yy < h {
-		in = pix[yy*stride : (yy+1)*stride]
+	in, out = sc.zero[:s.n], sc.zero[:s.n]
+	if yy := y + r; yy < s.y1 {
+		in = s.row(yy)
 	}
-	if yy := y - r - 1; yy >= 0 {
-		out = pix[yy*stride : (yy+1)*stride]
+	if yy := y - r - 1; yy >= s.y0 {
+		out = s.row(yy)
 	}
-	return in, out, min(y+r, h-1) - max(y-r, 0) + 1
+	return in, out
 }
+
+// clipped returns how many of the 2r+1 indices centred on i lie in
+// [0, n): a window's height or width after clipping at the border.
+func clipped(i, r, n int) int { return min(i+r, n-1) - max(i-r, 0) + 1 }
 
 // addRow adds one row of samples to the per-column sums.
 func addRow(cols []uint32, row []uint8) {
@@ -127,8 +145,8 @@ func (sc *FilterScratch) BoxRow(dst []uint8, src *RGB, n, y int) {
 	}
 	w, h, r := src.W, src.H, n/2
 	stride := 3 * w
-	in, out, a := sc.window(src.Pix, stride, y, r, h)
-	if a != sc.rows {
+	in, out := sc.window(span{pix: src.Pix, stride: stride, n: stride, y1: h}, y, r)
+	if a := clipped(y, r, h); a != sc.rows {
 		sc.setRows(a, min(n, w))
 	}
 	// Along the row, s holds the channel sums of columns [x−r, x+r−1]
@@ -154,7 +172,7 @@ func (sc *FilterScratch) BoxRow(dst []uint8, src *RGB, n, y int) {
 		if j := x + r; j < w {
 			enter(j)
 		}
-		b := min(x+r, w-1) - max(x-r, 0) + 1
+		b := clipped(x, r, w)
 		m, hb := mul[b], half[b]
 		dst[3*x] = divide(s0+hb, m)
 		dst[3*x+1] = divide(s1+hb, m)
@@ -230,16 +248,20 @@ func MedianFilterBinary(src *Binary, k int) *Binary {
 }
 
 // MedianFilterBinaryInto is MedianFilterBinary writing into dst, which is
-// resized as needed (nil allocates a fresh image), with sc as column-count
-// scratch (nil allocates). dst must not alias src. It returns dst, so hot
-// paths can recycle one destination buffer across frames instead of
-// allocating per call.
+// resized as needed (nil allocates a fresh image) and may hold anything,
+// with sc as column-count scratch (nil allocates). dst must not alias
+// src. It returns dst, so hot paths can recycle one destination buffer
+// across frames instead of allocating per call.
 //
-// It counts the ones of each column over the window rows, sliding those
-// counts down one row at a time, and slides a k-column sum of the counts
-// along each row, in one pass per row (see window). A pixel is set when its window's ones are a strict
-// majority of the window's in-bounds pixels, 2·ones > a·b for a window a
-// rows tall and b columns wide, so the cost is O(W·H) for any k.
+// Only the rectangle around src's foreground bounds, grown by k/2 and
+// clipped to the image, is computed: every window outside it holds no
+// ones, so dst is 0 there. Inside it the filter counts the ones of each
+// column over the window rows, sliding those counts down one row at a
+// time, and slides a k-column sum of the counts along each row, in one
+// pass per row (see window). A pixel is set when its window's ones are a
+// strict majority of the window's in-bounds pixels, 2·ones > a·b for a
+// window a rows tall and b columns wide, clipped at the image border, so
+// the cost is O(rectangle) for any k.
 func MedianFilterBinaryInto(dst *Binary, src *Binary, k int, sc *FilterScratch) *Binary {
 	if k < 1 || k%2 == 0 {
 		panic("imaging.MedianFilterBinary: kernel size must be odd and positive")
@@ -257,25 +279,34 @@ func MedianFilterBinaryInto(dst *Binary, src *Binary, k int, sc *FilterScratch) 
 	} else {
 		dst.Pix = dst.Pix[:n]
 	}
-	lo, hi := interior(w, r)
-	for y := 0; y < h; y++ {
-		in, out, a := sc.window(src.Pix, w, y, r, h)
-		cols, row := sc.cols[:w], dst.Pix[y*w:(y+1)*w]
+	clear(dst.Pix)
+	fg := src.ForegroundBounds()
+	if fg.Empty() {
+		return dst
+	}
+	x0, x1 := max(fg.Min.X-r, 0), min(fg.Max.X+r, w)
+	s := span{pix: src.Pix, stride: w, off: x0, n: x1 - x0, y0: max(fg.Min.Y-r, 0), y1: min(fg.Max.Y+r, h)}
+	// Along a row, j and x are columns relative to x0; the window's
+	// clipped width still comes from the image border.
+	lo, hi := interior(s.n, r)
+	for y := s.y0; y < s.y1; y++ {
+		in, out := sc.window(s, y, r)
+		a := clipped(y, r, h)
+		cols, row := sc.cols[:s.n], dst.Pix[y*w+x0:y*w+x1]
 		ones := uint32(0)
 		enter := func(j int) {
 			c := cols[j] + uint32(in[j]) - uint32(out[j])
 			cols[j] = c
 			ones += c
 		}
-		for j := 0; j < r && j < w; j++ {
+		for j := 0; j < r && j < s.n; j++ {
 			enter(j)
 		}
 		step := func(x int) {
-			if j := x + r; j < w {
+			if j := x + r; j < s.n {
 				enter(j)
 			}
-			b := min(x+r, w-1) - max(x-r, 0) + 1
-			row[x] = majority(ones, a*b)
+			row[x] = majority(ones, a*clipped(x0+x, r, w))
 			if j := x - r; j >= 0 {
 				ones -= cols[j]
 			}
@@ -295,7 +326,7 @@ func MedianFilterBinaryInto(dst *Binary, src *Binary, k int, sc *FilterScratch) 
 				ones -= leaveCols[i]
 			}
 		}
-		for x := hi; x < w; x++ {
+		for x := hi; x < s.n; x++ {
 			step(x)
 		}
 	}

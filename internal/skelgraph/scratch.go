@@ -30,7 +30,7 @@ import (
 type Scratch struct {
 	g Graph // the reused graph; Nodes/Segments slots keep their backing
 
-	// pixel adjacency (pixelAdjacency)
+	// pixel adjacency (newPixelGrid, pixelAdjacency)
 	idx []int32
 	pts []imaging.Point
 	nbr []int32
@@ -87,6 +87,7 @@ func PutScratch(sc *Scratch) {
 // slots are truncated, not cleared: newNode and addSegment reuse each
 // slot's Segs / Path backing arrays, which is where most of the arena's
 // win comes from.
+//
 //slj:hotpath
 func (sc *Scratch) graph(w, h int) *Graph {
 	if sc == nil {

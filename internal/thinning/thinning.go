@@ -70,6 +70,7 @@ func ThinInto(dst *imaging.Binary, src *imaging.Binary, alg Algorithm) *imaging.
 // counter — a jump in passes-per-frame flags silhouettes much thicker
 // than the extractor normally emits. MedialAxis is not iterative and
 // reports 1.
+//
 //slj:hotpath
 func ThinIntoCounted(dst *imaging.Binary, src *imaging.Binary, alg Algorithm) (*imaging.Binary, int) {
 	if dst == nil {
@@ -270,24 +271,31 @@ func grow(buf []uint8, n int) []uint8 {
 // rule in tab, repeating until an iteration deletes nothing. It returns
 // the number of iterations run, including the final stable one.
 //
+// Thinning only deletes, so the skeleton lies inside src's foreground
+// bounding rectangle fg. peel works on a copy of fg with a 1-pixel zero
+// border, which gives every foreground pixel the neighbourhood it has in
+// the frame, and writes fg back into dst, zero everywhere else.
+//
 // Subiteration t decides every pixel against the image as it stood
 // before t and then deletes the chosen set at once. A pixel's verdict
 // depends only on its own value, its eight neighbours and t's parity, so
 // subiteration t can only reach a different verdict than t−2 (same
 // parity) for a pixel whose 3×3 neighbourhood changed since — that is,
 // one next to a deletion made in t−1 or t−2. Subiterations 0 and 1 test
-// every foreground pixel (0 by scanning the frame, 1 from the foreground
-// list 0 collected); each later one re-tests only the pixels next to
-// those deletions, which gives exactly the deletions of testing every
-// pixel every time.
+// every foreground pixel (0 by scanning fg, 1 from the foreground list 0
+// collected); each later one re-tests only the pixels next to those
+// deletions, which gives exactly the deletions of testing every pixel
+// every time.
 func peel(dst, src *imaging.Binary, tab *deletionTables) int {
 	sc := getPeel() //slj:alloc-ok free-list round trip under a mutex; allocates only the first scratch per concurrent peel
-	w, h := src.W, src.H
+	fg := src.ForegroundBounds()
+	w, h := fg.Dx(), fg.Dy()
 	pw := w + 2
 	pad := grow(sc.pad, pw*(h+2))
 	clear(pad)
 	for y := 0; y < h; y++ {
-		copy(pad[(y+1)*pw+1:], src.Pix[y*w:(y+1)*w])
+		i := (fg.Min.Y+y)*src.W + fg.Min.X
+		copy(pad[(y+1)*pw+1:], src.Pix[i:i+w])
 	}
 	mark := grow(sc.mark, len(pad))
 	// Neighbour offsets in P2..P9 order; bit i of a neighbourhood byte
@@ -306,8 +314,8 @@ func peel(dst, src *imaging.Binary, tab *deletionTables) int {
 		del := sc.del[sub][:0] // t−2's deletions, still read below for t >= 2
 		switch t {
 		case 0:
-			// Scan the whole frame once, keeping the foreground as
-			// subiteration 1's candidates.
+			// Scan fg once, keeping the foreground as subiteration 1's
+			// candidates.
 			for y := 1; y <= h; y++ {
 				for x, v := range pad[y*pw+1 : y*pw+1+w] {
 					if v == 0 {
@@ -358,9 +366,11 @@ func peel(dst, src *imaging.Binary, tab *deletionTables) int {
 			}
 		}
 	}
-	dst.W, dst.H = w, h
+	dst.W, dst.H = src.W, src.H
+	clear(dst.Pix)
 	for y := 0; y < h; y++ {
-		copy(dst.Pix[y*w:(y+1)*w], pad[(y+1)*pw+1:])
+		i := (fg.Min.Y+y)*src.W + fg.Min.X
+		copy(dst.Pix[i:i+w], pad[(y+1)*pw+1:])
 	}
 	sc.pad, sc.mark, sc.cand = pad, mark, cand
 	putPeel(sc) //slj:alloc-ok free-list round trip under a mutex; the list grows once per concurrent peel

@@ -76,9 +76,6 @@ func (f *AlphaBeta) Predict() float64 {
 // Position returns the current filtered position.
 func (f *AlphaBeta) Position() float64 { return f.pos }
 
-// Velocity returns the current velocity estimate (px/frame).
-func (f *AlphaBeta) Velocity() float64 { return f.vel }
-
 // Initialized reports whether the filter has seen a measurement.
 func (f *AlphaBeta) Initialized() bool { return f.initialized }
 

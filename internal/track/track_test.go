@@ -32,8 +32,8 @@ func TestAlphaBetaTracksConstantVelocity(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		f.Update(float64(3 * i))
 	}
-	if math.Abs(f.Velocity()-3) > 0.2 {
-		t.Errorf("velocity = %v, want ≈ 3", f.Velocity())
+	if math.Abs(f.vel-3) > 0.2 {
+		t.Errorf("velocity = %v, want ≈ 3", f.vel)
 	}
 	if math.Abs(f.Position()-3*59) > 2 {
 		t.Errorf("position = %v, want ≈ %v", f.Position(), 3*59)
@@ -114,8 +114,8 @@ func TestTrackerFollowsBlob(t *testing.T) {
 	if math.Abs(last.Smoothed.X-float64(30+5*19)) > 6 {
 		t.Errorf("smoothed X = %v, want ≈ %v", last.Smoothed.X, 30+5*19)
 	}
-	if tr.fx.Velocity() < 3 {
-		t.Errorf("x velocity = %v, want ≈ 5", tr.fx.Velocity())
+	if tr.fx.vel < 3 {
+		t.Errorf("x velocity = %v, want ≈ 5", tr.fx.vel)
 	}
 }
 

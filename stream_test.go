@@ -2,6 +2,7 @@ package slj
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -229,5 +230,76 @@ func TestStreamingSourceErrorMessageParity(t *testing.T) {
 					call.name, workers, err, want)
 			}
 		}
+	}
+}
+
+// TestExtractionSkipsGroundTruthSilhouettes checks that the extraction
+// path never reads a streamed clip's saved silhouettes: with every
+// silhouette file of the test clip removed, and one of them replaced by
+// a symlink loop that cannot be opened, evaluation and jump measurement
+// give exactly the results of the intact clip. Ground-truth mode, which
+// does need the files, still rejects the loop as corrupt.
+func TestExtractionSkipsGroundTruthSilhouettes(t *testing.T) {
+	ds, err := GenerateDataset(dataset.GenOptions{TrainClips: 2, TestClips: 1, Seed: 73, VaryBody: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := saveCorpus(t, ds)
+	sys, _ := trainGolden(t, ds)
+	clip := filepath.Join(root, "test", ds.Test[0].Name)
+	type result struct {
+		sum  any
+		conf any
+		jump any
+	}
+	run := func() result {
+		src := openSplit(t, root, "test")
+		defer src.Close()
+		sum, conf, err := sys.EvaluateSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := dataset.OpenClip(clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jump, err := sys.MeasureJump(cr.Labeled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{sum, *conf, jump}
+	}
+	want := run()
+
+	sils, err := filepath.Glob(filepath.Join(clip, "silhouette-*.pbm"))
+	if err != nil || len(sils) == 0 {
+		t.Fatalf("no silhouette files under %s (err %v)", clip, err)
+	}
+	for _, f := range sils {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("results without silhouette files differ:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A self-referencing symlink opens with ELOOP, not fs.ErrNotExist.
+	if err := os.Symlink(sils[0], sils[0]); err != nil {
+		t.Skipf("cannot create symlink: %v", err)
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("results with a corrupt silhouette differ:\n got %+v\nwant %+v", got, want)
+	}
+	gt, err := NewSystem(WithGroundTruthSilhouettes(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := dataset.OpenClip(clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gt.ClassifyClip(cr.Labeled()); !errors.Is(err, dataset.ErrCorrupt) {
+		t.Errorf("ground-truth mode on a corrupt silhouette: err = %v, want ErrCorrupt", err)
 	}
 }
