@@ -113,13 +113,6 @@ type Options struct {
 	// nil (the default) disables all instrumentation at zero cost and
 	// leaves outputs bit-identical.
 	Scope *obs.Scope
-	// DisableFrameScratch turns off the per-worker frame arena, making
-	// every Analyze* call allocate fresh graph/key-point/skeleton storage
-	// exactly as the pre-arena pipeline did. Outputs are bit-identical
-	// either way (the golden tests pin this); the flag exists for that
-	// comparison and for callers that need FrameAnalysis products to
-	// outlive the next frame — see the FrameAnalysis ownership note.
-	DisableFrameScratch bool
 }
 
 // Option mutates Options.
@@ -166,22 +159,14 @@ func WithGAConfig(cfg ga.Config) Option { return func(o *Options) { o.GA = cfg }
 // expvar/JSON metric export. A nil scope is valid and means "off".
 func WithObservability(sc *obs.Scope) Option { return func(o *Options) { o.Scope = sc } }
 
-// WithFrameScratch toggles the per-worker frame arena (default on). Pass
-// false to restore the pre-arena allocate-per-frame behaviour, in which
-// FrameAnalysis products stay valid indefinitely.
-func WithFrameScratch(enabled bool) Option {
-	return func(o *Options) { o.DisableFrameScratch = !enabled }
-}
-
 // FrameAnalysis is everything the vision front end derives from a frame.
 //
-// Ownership: with the frame arena enabled (the default), Silhouette,
-// Skeleton, Graph and the slices reachable from them live in per-System
-// reusable storage and are valid only until the NEXT Analyze*/Classify*/
-// Train* call on the same System (or on the Engine worker that produced
-// them). Copy what must outlive the next frame, or build the System with
-// WithFrameScratch(false). KeyPoints and Encoding are self-contained
-// values and always safe to retain.
+// Ownership: Silhouette, Skeleton, Graph and the slices reachable from
+// them live in the System's frame arena and are valid only until the
+// NEXT Analyze*/Classify*/Train* call on the same System (or on the
+// Engine worker that produced them). Copy what must outlive the next
+// frame. KeyPoints and Encoding are self-contained values and always
+// safe to retain.
 type FrameAnalysis struct {
 	// Silhouette is the extracted (or ground-truth) figure mask.
 	Silhouette *imaging.Binary
@@ -200,15 +185,17 @@ type FrameAnalysis struct {
 }
 
 // System is the full paper pipeline: extraction → skeleton → key points →
-// DBN classification → scoring.
+// DBN classification → scoring. A System owns one frame arena and
+// analyses one frame at a time, so the FrameAnalysis products of its
+// Analyze* methods are valid only until its next call (see
+// FrameAnalysis); an Engine runs one System per worker.
 type System struct {
 	opts       Options
 	extractor  *extract.Extractor
 	classifier *dbn.Classifier
 
-	// scratch is the per-System frame arena (nil when disabled). A System
-	// analyses one frame at a time — the Engine pools whole Systems — so
-	// a single arena per System is race-free by construction.
+	// scratch is the System's frame arena; one System analyses one frame
+	// at a time, so it needs no locking.
 	scratch *frameScratch
 }
 
@@ -293,11 +280,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slj: %w", err)
 	}
-	sys := &System{opts: o, extractor: ex, classifier: clf}
-	if !o.DisableFrameScratch {
-		sys.scratch = newFrameScratch()
-	}
-	return sys, nil
+	return &System{opts: o, extractor: ex, classifier: clf, scratch: newFrameScratch()}, nil
 }
 
 // Classifier exposes the underlying DBN bank (read-only use).
@@ -336,13 +319,7 @@ func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 	sp.End()
 	sc.ThinPasses(passes)
 	sp = sc.Start(obs.StageGraph)
-	var g *skelgraph.Graph
-	var err error
-	if s.scratch != nil {
-		g, err = skelgraph.BuildScratch(skel, s.scratch.graph)
-	} else {
-		g, err = skelgraph.Build(skel)
-	}
+	g, err := skelgraph.BuildScratch(skel, s.scratch.graph)
 	if err != nil {
 		sp.End()
 		sc.GraphFail()
@@ -354,18 +331,9 @@ func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 	sp.End()
 	sc.GraphStats(g.Stats.LoopsCut, g.Stats.JunctionsRemoved)
 	fa.Graph = g
-	if s.scratch != nil {
-		fa.Skeleton = g.ToBinaryInto(s.scratch.skeletonInto(g.W, g.H))
-	} else {
-		fa.Skeleton = g.ToBinary()
-	}
+	fa.Skeleton = g.ToBinaryInto(s.scratch.skeletonInto(g.W, g.H))
 	sp = sc.Start(obs.StageKeyPoint)
-	var kp keypoint.KeyPoints
-	if s.scratch != nil {
-		kp, err = keypoint.FromGraphScratch(g, s.scratch.kp)
-	} else {
-		kp, err = keypoint.FromGraph(g)
-	}
+	kp, err := keypoint.FromGraphScratch(g, s.scratch.kp)
 	if err != nil {
 		sp.End()
 		sc.KeyPointMiss(errors.Is(err, keypoint.ErrDegenerate), errors.Is(err, keypoint.ErrNoTorso))
@@ -445,12 +413,10 @@ func (s *System) AnalyzeFrame(frame *imaging.RGB) (FrameAnalysis, error) {
 	if err != nil {
 		return FrameAnalysis{}, fmt.Errorf("slj: %w", err) //slj:alloc-ok cold error path, frame is rejected anyway
 	}
-	if s.scratch != nil {
-		// The silhouette must stay valid past the return (it is the
-		// FrameAnalysis product), so it goes back to the pool one frame
-		// later, when the next AnalyzeFrame supersedes it.
-		s.scratch.retire(sil)
-	}
+	// The silhouette must stay valid past the return (it is the
+	// FrameAnalysis product), so it goes back to the pool one frame later,
+	// when the next AnalyzeFrame supersedes it.
+	s.scratch.retire(sil)
 	return s.AnalyzeSilhouette(sil), nil
 }
 
@@ -462,11 +428,11 @@ func (s *System) analyzeClip(lc dataset.LabeledClip) ([]FrameAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Silhouettes produced by the extractor ride the imaging pool; with the
-	// arena enabled they are returned once the clip's analyses are done.
-	// Ground-truth silhouettes are dataset-owned and must never be Put —
-	// but a FlipH copy is ours regardless of where its source came from.
-	owned := s.scratch != nil && !s.opts.UseGroundTruthSilhouettes
+	// Silhouettes produced by the extractor ride the imaging pool and are
+	// returned once the clip's analyses are done. Ground-truth silhouettes
+	// are dataset-owned and must never be Put — but a FlipH copy is ours
+	// regardless of where its source came from.
+	owned := !s.opts.UseGroundTruthSilhouettes
 	if s.opts.AutoOrient && jumpGoesLeft(sils) {
 		for i, sil := range sils {
 			sils[i] = sil.FlipH()
@@ -474,7 +440,7 @@ func (s *System) analyzeClip(lc dataset.LabeledClip) ([]FrameAnalysis, error) {
 				imaging.PutBinary(sil)
 			}
 		}
-		owned = s.scratch != nil
+		owned = true
 	}
 	out := make([]FrameAnalysis, 0, len(sils))
 	for _, sil := range sils {
@@ -575,7 +541,7 @@ func (s *System) clipSilhouettes(lc dataset.LabeledClip) ([]*imaging.Binary, err
 			// Same release rule as analyzeClip's success path: silhouettes
 			// already extracted for earlier frames are pool-owned and must
 			// not leak just because a later frame failed to decode.
-			if s.scratch != nil && !s.opts.UseGroundTruthSilhouettes {
+			if !s.opts.UseGroundTruthSilhouettes {
 				for _, prev := range out {
 					imaging.PutBinary(prev)
 				}

@@ -260,21 +260,27 @@ func BenchmarkStageThinning(b *testing.B) {
 }
 
 // BenchmarkStageGraphBuild measures skeleton-graph construction with loop
-// cutting.
+// cutting and pruning on one reused arena, as each System runs it.
 func BenchmarkStageGraphBuild(b *testing.B) {
 	skel := thinning.Thin(benchSilhouette(), thinning.ZhangSuen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := skelgraph.Build(skel)
+	sc := new(skelgraph.Scratch)
+	build := func() {
+		g, err := skelgraph.BuildScratch(skel, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		g.Prune(skelgraph.DefaultPruneLen)
 	}
+	build() // warm the arena: steady-state frames, not its first growth
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
 }
 
-// BenchmarkStageKeyPoints measures key-point extraction plus encoding.
+// BenchmarkStageKeyPoints measures key-point extraction plus encoding on
+// one reused arena, as each System runs it.
 func BenchmarkStageKeyPoints(b *testing.B) {
 	skel := thinning.Thin(benchSilhouette(), thinning.ZhangSuen)
 	g, err := skelgraph.Build(skel)
@@ -282,16 +288,21 @@ func BenchmarkStageKeyPoints(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.Prune(skelgraph.DefaultPruneLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kp, err := keypoint.FromGraph(g)
+	sc := new(keypoint.Scratch)
+	locate := func() {
+		kp, err := keypoint.FromGraphScratch(g, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := keypoint.Encode(kp, keypoint.DefaultPartitions); err != nil {
 			b.Fatal(err)
 		}
+	}
+	locate() // warm the arenas: steady-state frames, not their first growth
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		locate()
 	}
 }
 

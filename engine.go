@@ -91,11 +91,7 @@ func (s *System) clone() (*System, error) {
 		return nil, fmt.Errorf("slj: %w", err)
 	}
 	ex.SetScope(s.opts.Scope)
-	c := &System{opts: s.opts, extractor: ex, classifier: s.classifier}
-	if s.scratch != nil {
-		c.scratch = newFrameScratch()
-	}
-	return c, nil
+	return &System{opts: s.opts, extractor: ex, classifier: s.classifier, scratch: newFrameScratch()}, nil
 }
 
 // Workers reports the resolved worker count.
@@ -461,7 +457,7 @@ func (s *System) classifyClipPipelined(lc dataset.LabeledClip) ([]dbn.Result, er
 			return t, nil
 		},
 	)
-	owned := s.scratch != nil && !s.opts.UseGroundTruthSilhouettes
+	owned := !s.opts.UseGroundTruthSilhouettes
 	if err != nil {
 		// Pipeline returns partial results on error: every token that
 		// cleared both stages before the failure still carries its

@@ -331,21 +331,6 @@ func TestPosteriorValidation(t *testing.T) {
 	}
 }
 
-func TestMAP(t *testing.T) {
-	n, ids := sprinkler(t)
-	state, prob, err := n.MAP(ids[0], Evidence{ids[2]: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P(rain=1|wet) ≈ 0.358 < 0.5, so MAP is "no rain".
-	if state != 0 {
-		t.Errorf("MAP state = %d, want 0", state)
-	}
-	if prob < 0.6 || prob > 0.7 {
-		t.Errorf("MAP prob = %v, want ≈ 0.642", prob)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	n := New()
 	a, _ := n.AddNode("a", 2)

@@ -428,19 +428,3 @@ func sumAll(f *factor, pinned map[int]int, states func(int) int) float64 {
 	walk(0)
 	return total
 }
-
-// MAP returns the most probable state of query given evidence, along with
-// its posterior probability, using variable elimination.
-func (n *Network) MAP(query int, ev Evidence) (state int, prob float64, err error) {
-	dist, err := n.PosteriorVE(query, ev)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := 0
-	for s, p := range dist {
-		if p > dist[best] {
-			best = s
-		}
-	}
-	return best, dist[best], nil
-}

@@ -46,10 +46,9 @@ type Component struct {
 // ComponentScratch carries the labelling state of LargestComponentInto
 // between calls so the per-frame hot path (extract.Smooth's
 // largest-component isolation) can relabel every frame without
-// allocating. The zero value is ready to use; a nil *ComponentScratch
-// falls back to fresh allocations. Not safe for concurrent use — callers
-// own one per worker, exactly like extract.Extractor's other scratch
-// buffers.
+// allocating. The zero value is ready to use. Not safe for concurrent
+// use — callers own one per worker, exactly like extract.Extractor's
+// other scratch buffers.
 type ComponentScratch struct {
 	labels []int32 // label map of the foreground bounding rectangle
 	comps  []Component
@@ -58,9 +57,6 @@ type ComponentScratch struct {
 
 // grabLabels returns the scratch label map resized to n zeroed entries.
 func (s *ComponentScratch) grabLabels(n int) []int32 {
-	if s == nil {
-		return make([]int32, n) //slj:alloc-ok nil-scratch fallback for one-shot callers without a ComponentScratch
-	}
 	if cap(s.labels) < n {
 		s.labels = make([]int32, n) //slj:alloc-ok scratch regrow on first use or a larger foreground, amortised across frames
 	}
@@ -75,7 +71,7 @@ func (s *ComponentScratch) grabLabels(n int) []int32 {
 // label. The returned slices are freshly allocated and owned by the
 // caller.
 func Components(b *Binary, conn Connectivity) ([]int32, []Component) {
-	local, fg, comps := componentsInto(nil, b, conn)
+	local, fg, comps := componentsInto(new(ComponentScratch), b, conn)
 	labels := make([]int32, len(b.Pix))
 	fw := fg.Dx()
 	for y := fg.Min.Y; y < fg.Max.Y; y++ {
@@ -94,11 +90,8 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) (labels 
 	fg = b.ForegroundBounds()
 	fw := fg.Dx()
 	labels = sc.grabLabels(fw * fg.Dy())
-	var stack []Point
-	if sc != nil {
-		comps = sc.comps[:0]
-		stack = sc.stack[:0]
-	}
+	comps = sc.comps[:0]
+	stack := sc.stack[:0]
 	local := func(p Point) int { return (p.Y-fg.Min.Y)*fw + p.X - fg.Min.X }
 	offs := conn.offsets()
 	next := int32(0)
@@ -137,12 +130,10 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) (labels 
 			comps = append(comps, comp)
 		}
 	}
-	if sc != nil {
-		// The buffers may have been regrown by append; keep the larger
-		// backing arrays for the next frame.
-		sc.comps = comps
-		sc.stack = stack
-	}
+	// The buffers may have been regrown by append; keep the larger
+	// backing arrays for the next frame.
+	sc.comps = comps
+	sc.stack = stack
 	return labels, fg, comps
 }
 
@@ -151,13 +142,13 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) (labels 
 // extraction stage uses it to isolate the jumper from residual background
 // speckle. Returns an all-background image when b has no foreground.
 func LargestComponent(b *Binary, conn Connectivity) *Binary {
-	return LargestComponentInto(NewBinary(b.W, b.H), b, conn, nil)
+	return LargestComponentInto(NewBinary(b.W, b.H), b, conn, new(ComponentScratch))
 }
 
 // LargestComponentInto writes b's largest foreground region into dst,
 // which must be a zeroed image of b's size (NewBinary or GetBinary
-// provide one), and returns dst. sc (optionally nil) supplies reusable
-// labelling scratch so the steady-state call allocates nothing. Only the
+// provide one), and returns dst. sc supplies reusable labelling scratch
+// so the steady-state call allocates nothing. Only the
 // winner's bounding rectangle of dst is written.
 func LargestComponentInto(dst, b *Binary, conn Connectivity, sc *ComponentScratch) *Binary {
 	labels, fg, comps := componentsInto(sc, b, conn)

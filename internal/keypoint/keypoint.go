@@ -146,9 +146,10 @@ func (kp KeyPoints) HandAbsent() bool {
 	return !kp.Has(PartHand)
 }
 
-// Scratch is a per-worker arena for FromGraphScratch: the component
-// membership mask and endpoint list reused between frames. The zero
-// value is ready to use; not safe for concurrent use.
+// Scratch is the arena FromGraphScratch draws its working buffers from:
+// the component membership mask and endpoint list, reused between frames
+// by one worker. The zero value is ready to use; not safe for concurrent
+// use.
 type Scratch struct {
 	inComp []bool
 	ends   []int
@@ -172,37 +173,25 @@ func PutScratch(sc *Scratch) {
 // FromGraph locates the key points on a built (and ideally pruned)
 // skeleton graph, using only its largest connected component.
 func FromGraph(g *skelgraph.Graph) (KeyPoints, error) {
-	return FromGraphScratch(g, nil)
+	return FromGraphScratch(g, new(Scratch))
 }
 
 // FromGraphScratch is FromGraph with its working buffers drawn from a
-// per-worker arena; nil behaves exactly like FromGraph. The returned
-// KeyPoints value is self-contained either way.
+// per-worker arena. The returned KeyPoints value is self-contained.
 //
 //slj:hotpath
 func FromGraphScratch(g *skelgraph.Graph, sc *Scratch) (KeyPoints, error) {
 	// Membership of the largest component as a node-indexed []bool — it
 	// replaced the map[int]bool this step used to allocate per frame.
-	var inComp []bool
-	if sc != nil {
-		inComp = sc.inComp
-	}
-	inComp = g.MarkLargestComponent(inComp)
-	if sc != nil {
-		sc.inComp = inComp
-	}
-	var ends []int
-	if sc != nil {
-		ends = sc.ends[:0]
-	}
+	inComp := g.MarkLargestComponent(sc.inComp)
+	sc.inComp = inComp
+	ends := sc.ends[:0]
 	for e := range g.Nodes {
 		if inComp[e] && g.Degree(e) == 1 {
 			ends = append(ends, e)
 		}
 	}
-	if sc != nil {
-		sc.ends = ends
-	}
+	sc.ends = ends
 	if len(ends) < 2 {
 		return KeyPoints{}, ErrDegenerate
 	}

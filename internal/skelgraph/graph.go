@@ -121,10 +121,9 @@ type Graph struct {
 
 	dead []bool // parallel to Segments; true = removed
 
-	// scr is the frame arena this graph was built from (nil when the
-	// graph owns its memory). When set, every mutating operation and
-	// path query draws its working buffers from the arena instead of
-	// allocating, and the graph itself lives inside the arena.
+	// scr is the frame arena this graph lives in. Every mutating
+	// operation and path query draws its working buffers from it instead
+	// of allocating.
 	scr *Scratch
 }
 
@@ -206,18 +205,12 @@ func (g pixelGrid) cell(x, y int) int { return (y-g.y0)*g.w + x - g.x0 }
 func (g pixelGrid) at(x, y int) int32 { return g.idx[g.cell(x, y)] }
 
 // newPixelGrid marks skel's foreground in a grid (0 for foreground, −1
-// for background) for pixelAdjacency to number. With a scratch the grid
-// aliases sc.idx.
+// for background) for pixelAdjacency to number. The grid aliases sc.idx.
 func newPixelGrid(skel *imaging.Binary, sc *Scratch) pixelGrid {
 	fg := skel.ForegroundBounds()
 	g := pixelGrid{x0: fg.Min.X - 1, y0: fg.Min.Y - 1, w: fg.Dx() + 2}
-	n := g.w * (fg.Dy() + 2)
-	if sc != nil {
-		g.idx = grabInt32(sc.idx, n)
-		sc.idx = g.idx
-	} else {
-		g.idx = make([]int32, n) //slj:alloc-ok nil-scratch fallback for one-shot callers; arena callers take grabInt32
-	}
+	g.idx = grabInt32(sc.idx, g.w*(fg.Dy()+2))
+	sc.idx = g.idx
 	for i := range g.idx {
 		g.idx[i] = -1
 	}
@@ -239,9 +232,7 @@ func newPixelGrid(skel *imaging.Binary, sc *Scratch) pixelGrid {
 // same reduction used by the thinning metrics; it prevents phantom
 // triangle cycles at corners).
 func pixelAdjacency(g pixelGrid, sc *Scratch) (pts []imaging.Point, adj pixelAdj) {
-	if sc != nil {
-		pts = sc.pts[:0]
-	}
+	pts = sc.pts[:0]
 	for y := 1; y < len(g.idx)/g.w-1; y++ {
 		row := g.idx[y*g.w+1 : (y+1)*g.w-1]
 		for i, v := range row {
@@ -251,13 +242,9 @@ func pixelAdjacency(g pixelGrid, sc *Scratch) (pts []imaging.Point, adj pixelAdj
 			}
 		}
 	}
-	if sc != nil {
-		sc.pts = pts
-		adj = pixelAdj{nbr: grabInt32(sc.nbr, 8*len(pts)), deg: grabBytes(sc.deg, len(pts))}
-		sc.nbr, sc.deg = adj.nbr, adj.deg
-	} else {
-		adj = pixelAdj{nbr: make([]int32, 8*len(pts)), deg: make([]uint8, len(pts))} //slj:alloc-ok nil-scratch fallback for one-shot callers; arena callers take the grab helpers
-	}
+	sc.pts = pts
+	adj = pixelAdj{nbr: grabInt32(sc.nbr, 8*len(pts)), deg: grabBytes(sc.deg, len(pts))}
+	sc.nbr, sc.deg = adj.nbr, adj.deg
 	for vi, p := range pts {
 		x, y := p.X, p.Y
 		for _, d := range imaging.Neighbors8 {
@@ -282,19 +269,17 @@ func pixelAdjacency(g pixelGrid, sc *Scratch) (pts []imaging.Point, adj pixelAdj
 // removes: vertices with more than one junction vertex (degree >= 3) among
 // their eight neighbours. Exposed for the Figure 3 experiment.
 func AdjacentJunctionVertices(skel *imaging.Binary) []imaging.Point {
-	g := newPixelGrid(skel, nil)
-	pts, adj := pixelAdjacency(g, nil)
-	return adjacentJunctionVertices(g, pts, adj, nil)
+	sc := new(Scratch)
+	g := newPixelGrid(skel, sc)
+	pts, adj := pixelAdjacency(g, sc)
+	return adjacentJunctionVertices(g, pts, adj, sc)
 }
 
 // adjacentJunctionVertices is AdjacentJunctionVertices over a numbered
-// grid and its pixel graph; with a scratch the returned slice aliases
-// sc.remove and is valid only until the arena's next use.
+// grid and its pixel graph; the returned slice aliases sc.remove and is
+// valid only until the arena's next use.
 func adjacentJunctionVertices(g pixelGrid, pts []imaging.Point, adj pixelAdj, sc *Scratch) []imaging.Point {
-	var out []imaging.Point
-	if sc != nil {
-		out = sc.remove[:0]
-	}
+	out := sc.remove[:0]
 	for _, p := range pts {
 		n := 0
 		for _, d := range imaging.Neighbors8 {
@@ -306,9 +291,7 @@ func adjacentJunctionVertices(g pixelGrid, pts []imaging.Point, adj pixelAdj, sc
 			out = append(out, p)
 		}
 	}
-	if sc != nil {
-		sc.remove = out
-	}
+	sc.remove = out
 	return out
 }
 
@@ -349,15 +332,16 @@ func applyOptions(o Options, opts []Option) Options {
 // skeleton graph, applying the Section 3 pipeline (simplify → maximum
 // spanning tree loop cut). Pruning is left to the caller (Prune) because
 // the paper treats it as a separate, iterative step.
+//
+// The graph lives in a fresh arena of its own, so it stays valid for as
+// long as the caller keeps it.
 func Build(skel *imaging.Binary, opts ...Option) (*Graph, error) {
-	return BuildScratch(skel, nil, opts...)
+	return BuildScratch(skel, new(Scratch), opts...)
 }
 
-// BuildScratch is Build backed by a per-worker frame arena. With a nil
-// scratch it behaves exactly like Build (fresh allocations, caller owns
-// the graph); with a scratch the returned graph and everything reachable
-// from it live inside the arena and are valid only until the next
-// BuildScratch call on the same arena.
+// BuildScratch is Build backed by a per-worker frame arena: the returned
+// graph and everything reachable from it live inside sc and are valid
+// only until the next BuildScratch call on the same arena.
 //
 //slj:hotpath
 func BuildScratch(skel *imaging.Binary, sc *Scratch, opts ...Option) (*Graph, error) {
@@ -392,13 +376,8 @@ func BuildScratch(skel *imaging.Binary, sc *Scratch, opts ...Option) (*Graph, er
 // traceSegments contracts the pixel graph into nodes and segments.
 func (g *Graph) traceSegments(pts []imaging.Point, adj pixelAdj) {
 	// Nodes: every pixel whose degree != 2.
-	var nodeOf []int32
-	if g.scr != nil {
-		nodeOf = grabInt32(g.scr.nodeOf, len(pts))
-		g.scr.nodeOf = nodeOf
-	} else {
-		nodeOf = make([]int32, len(pts)) //slj:alloc-ok nil-scratch fallback for one-shot callers
-	}
+	nodeOf := grabInt32(g.scr.nodeOf, len(pts))
+	g.scr.nodeOf = nodeOf
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
@@ -412,13 +391,8 @@ func (g *Graph) traceSegments(pts []imaging.Point, adj pixelAdj) {
 	// has been traced. Edges are marked in both directions, so one flat
 	// byte per pixel replaces the map of pixel pairs the tracer used to
 	// allocate per edge.
-	var visited []uint8
-	if g.scr != nil {
-		visited = grabBytes(g.scr.visited, len(pts))
-		g.scr.visited = visited
-	} else {
-		visited = make([]uint8, len(pts)) //slj:alloc-ok nil-scratch fallback for one-shot callers
-	}
+	visited := grabBytes(g.scr.visited, len(pts))
+	g.scr.visited = visited
 	markDir := func(a, b int32) {
 		for k, w := range adj.neighbors(a) {
 			if w == b {
@@ -443,10 +417,7 @@ func (g *Graph) traceSegments(pts []imaging.Point, adj pixelAdj) {
 	// One path buffer serves every segment trace: the tracer builds a
 	// path here and addSegment copies it into the segment's own (reused)
 	// backing.
-	var path []imaging.Point
-	if g.scr != nil {
-		path = g.scr.pathBuf[:0]
-	}
+	path := g.scr.pathBuf[:0]
 
 	// Walk each segment starting from every node pixel.
 	for vi := range pts {
@@ -517,9 +488,7 @@ func (g *Graph) traceSegments(pts []imaging.Point, adj pixelAdj) {
 		path = append(path, pts[vi])
 		g.addSegment(int(nodeOf[vi]), int(nodeOf[vi]), path, false)
 	}
-	if g.scr != nil {
-		g.scr.pathBuf = path
-	}
+	g.scr.pathBuf = path
 }
 
 // newNode appends a node for pixel p, reusing the slot's Segs backing
@@ -568,14 +537,11 @@ func (g *Graph) addSegment(a, b int, path []imaging.Point, bridge bool) int {
 // each other. The pixel path of a bridge is a straight Bresenham line.
 func (g *Graph) addBridges(radius float64) {
 	// Union-find over current segments to know existing pieces.
-	uf := g.newUF(len(g.Nodes))
+	uf := g.scr.uf.reset(len(g.Nodes))
 	for i := range g.Segments {
 		uf.union(g.Segments[i].A, g.Segments[i].B)
 	}
-	var line []imaging.Point
-	if g.scr != nil {
-		line = g.scr.pathBuf[:0]
-	}
+	line := g.scr.pathBuf[:0]
 	for i := 0; i < len(g.Nodes); i++ {
 		for j := i + 1; j < len(g.Nodes); j++ {
 			if uf.find(i) == uf.find(j) {
@@ -591,9 +557,7 @@ func (g *Graph) addBridges(radius float64) {
 			g.Stats.Bridges++
 		}
 	}
-	if g.scr != nil {
-		g.scr.pathBuf = line
-	}
+	g.scr.pathBuf = line
 }
 
 // spanningCut keeps a spanning forest of the segment multigraph. With max
@@ -609,10 +573,7 @@ func (g *Graph) spanningCut(max bool) {
 	// sort.SliceStable closure (whose reflect-based swapper allocates) and
 	// yields the exact same order — the unique low-word index reproduces
 	// stability.
-	var keys []uint64
-	if g.scr != nil {
-		keys = g.scr.order[:0]
-	}
+	keys := g.scr.order[:0]
 	for si := range g.Segments {
 		l := uint64(uint32(g.Segments[si].Len()))
 		if max {
@@ -621,10 +582,8 @@ func (g *Graph) spanningCut(max bool) {
 		keys = append(keys, l<<32|uint64(uint32(si)))
 	}
 	slices.Sort(keys)
-	if g.scr != nil {
-		g.scr.order = keys
-	}
-	uf := g.newUF(len(g.Nodes))
+	g.scr.order = keys
+	uf := g.scr.uf.reset(len(g.Nodes))
 	for _, k := range keys {
 		si := int(uint32(k))
 		s := &g.Segments[si]
@@ -740,13 +699,8 @@ func (g *Graph) TotalLength() int {
 // two slots pointing at one Path backing array, which the arena's
 // per-slot reuse would then corrupt on a later frame.
 func (g *Graph) Compact() {
-	var remap []int
-	if g.scr != nil {
-		remap = grabInts(g.scr.remap, len(g.Segments))
-		g.scr.remap = remap
-	} else {
-		remap = make([]int, len(g.Segments)) //slj:alloc-ok nil-scratch fallback for one-shot callers
-	}
+	remap := grabInts(g.scr.remap, len(g.Segments))
+	g.scr.remap = remap
 	n := 0
 	for i := range g.Segments {
 		if g.dead[i] {
@@ -806,7 +760,7 @@ func (g *Graph) ToBinaryInto(out *imaging.Binary) *imaging.Binary {
 // IsForest verifies the loop-free invariant: the live segment set contains
 // no cycle.
 func (g *Graph) IsForest() bool {
-	uf := g.newUF(len(g.Nodes))
+	uf := g.scr.uf.reset(len(g.Nodes))
 	for i, s := range g.Segments {
 		if g.dead[i] {
 			continue
@@ -828,10 +782,6 @@ func (g *Graph) String() string {
 type unionFind struct {
 	parent []int
 	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	return (&unionFind{}).reset(n)
 }
 
 // reset re-initialises the structure for n elements, reusing its arrays

@@ -8,10 +8,7 @@ import "repro/internal/imaging"
 // branch identifies a prunable segment: one end of kind End, the other of
 // kind Junction, shorter than the threshold.
 func (g *Graph) shortBranches(minLen int) []int {
-	var out []int
-	if g.scr != nil {
-		out = g.scr.branches[:0]
-	}
+	out := g.scr.branches[:0]
 	for si := range g.Segments {
 		if g.dead[si] {
 			continue
@@ -25,9 +22,7 @@ func (g *Graph) shortBranches(minLen int) []int {
 			out = append(out, si)
 		}
 	}
-	if g.scr != nil {
-		g.scr.branches = out
-	}
+	g.scr.branches = out
 	return out
 }
 
@@ -85,10 +80,7 @@ func (g *Graph) PruneNaive(minLen int) int {
 // inputs) and then copied back into s1's slot, preserving the one-backing-
 // array-per-slot invariant the arena relies on.
 func (g *Graph) mergeChains() {
-	var buf []imaging.Point
-	if g.scr != nil {
-		buf = g.scr.pathBuf[:0]
-	}
+	buf := g.scr.pathBuf[:0]
 	for ni := range g.Nodes {
 		for g.Degree(ni) == 2 {
 			s1i, s2i := g.Nodes[ni].Segs[0], g.Nodes[ni].Segs[1]
@@ -113,9 +105,7 @@ func (g *Graph) mergeChains() {
 			g.Nodes[b].Segs = append(g.Nodes[b].Segs, s1i)
 		}
 	}
-	if g.scr != nil {
-		g.scr.pathBuf = buf
-	}
+	g.scr.pathBuf = buf
 }
 
 func otherEnd(s Segment, n int) int {
@@ -150,24 +140,18 @@ func appendPathFromSkip(dst []imaging.Point, s *Segment, n int) []imaging.Point 
 
 // NodePath returns the unique tree path between nodes a and b as a node
 // sequence plus the segments traversed, or ok=false when they lie in
-// different components. On a scratch-backed graph the returned slices
-// alias the arena and are valid only until its next path query.
+// different components. The returned slices alias the graph's arena and
+// are valid only until its next NodePath or PixelPath query.
 func (g *Graph) NodePath(a, b int) (nodes []int, segs []int, ok bool) {
 	if a == b {
 		return []int{a}, nil, true //slj:alloc-ok degenerate a == b query; per-frame path walks query distinct nodes
 	}
 	sc := g.scr
-	var prevNode, prevSeg, queue []int
-	if sc != nil {
-		prevNode = grabInts(sc.prevNode, len(g.Nodes))
-		sc.prevNode = prevNode
-		prevSeg = grabInts(sc.prevSeg, len(g.Nodes))
-		sc.prevSeg = prevSeg
-		queue = sc.queue[:0]
-	} else {
-		prevNode = make([]int, len(g.Nodes)) //slj:alloc-ok nil-scratch fallback for one-shot callers
-		prevSeg = make([]int, len(g.Nodes))
-	}
+	prevNode := grabInts(sc.prevNode, len(g.Nodes))
+	sc.prevNode = prevNode
+	prevSeg := grabInts(sc.prevSeg, len(g.Nodes))
+	sc.prevSeg = prevSeg
+	queue := sc.queue[:0]
 	for i := range prevNode {
 		prevNode[i] = -1
 		prevSeg[i] = -1
@@ -193,16 +177,12 @@ bfs:
 			queue = append(queue, nxt)
 		}
 	}
-	if sc != nil {
-		sc.queue = queue
-	}
+	sc.queue = queue
 	if prevNode[b] == -1 {
 		return nil, nil, false
 	}
-	if sc != nil {
-		nodes = sc.pathNodes[:0]
-		segs = sc.pathSegs[:0]
-	}
+	nodes = sc.pathNodes[:0]
+	segs = sc.pathSegs[:0]
 	for cur := b; cur != a; cur = prevNode[cur] {
 		nodes = append(nodes, cur)
 		segs = append(segs, prevSeg[cur])
@@ -210,10 +190,8 @@ bfs:
 	nodes = append(nodes, a)
 	reverseInts(nodes)
 	reverseInts(segs)
-	if sc != nil {
-		sc.pathNodes = nodes
-		sc.pathSegs = segs
-	}
+	sc.pathNodes = nodes
+	sc.pathSegs = segs
 	return nodes, segs, true
 }
 
@@ -225,24 +203,18 @@ func reverseInts(s []int) {
 
 // PixelPath returns the full pixel path between nodes a and b, or ok=false
 // when disconnected. The path starts at a's pixel and ends at b's pixel.
-// On a scratch-backed graph the slice aliases the arena and is valid only
-// until its next path query.
+// The slice aliases the graph's arena and is valid only until its next
+// NodePath or PixelPath query.
 func (g *Graph) PixelPath(a, b int) ([]imaging.Point, bool) {
 	nodes, segs, ok := g.NodePath(a, b)
 	if !ok {
 		return nil, false
 	}
-	var out []imaging.Point
-	if g.scr != nil {
-		out = g.scr.pathOut[:0]
-	}
-	out = append(out, g.Nodes[a].P)
+	out := append(g.scr.pathOut[:0], g.Nodes[a].P)
 	for i, si := range segs {
 		out = appendPathFromSkip(out, &g.Segments[si], nodes[i])
 	}
-	if g.scr != nil {
-		g.scr.pathOut = out
-	}
+	g.scr.pathOut = out
 	return out, true
 }
 
@@ -250,7 +222,7 @@ func (g *Graph) PixelPath(a, b int) ([]imaging.Point, bool) {
 // least one live segment or is an isolated node with degree > 0 (i.e.
 // nodes stranded with no segments are skipped).
 func (g *Graph) Components() [][]int {
-	uf := g.newUF(len(g.Nodes))
+	uf := g.scr.uf.reset(len(g.Nodes))
 	for i, s := range g.Segments {
 		if !g.dead[i] {
 			uf.union(s.A, s.B)
@@ -292,23 +264,16 @@ func (g *Graph) MarkLargestComponent(mask []bool) []bool {
 		mask = mask[:n]
 		clear(mask)
 	}
-	uf := g.newUF(n)
+	uf := g.scr.uf.reset(n)
 	for si := range g.Segments {
 		if !g.dead[si] {
 			uf.union(g.Segments[si].A, g.Segments[si].B)
 		}
 	}
 	// Summed live pixel length per component root.
-	var total []int
-	if g.scr != nil {
-		total = grabInts(g.scr.compLen, n)
-		g.scr.compLen = total
-		for i := range total {
-			total[i] = 0
-		}
-	} else {
-		total = make([]int, n) //slj:alloc-ok nil-scratch fallback for one-shot callers
-	}
+	total := grabInts(g.scr.compLen, n)
+	g.scr.compLen = total
+	clear(total)
 	for si := range g.Segments {
 		if !g.dead[si] {
 			total[uf.find(g.Segments[si].A)] += g.Segments[si].Len()

@@ -99,8 +99,8 @@ func sameAdjacency(a, b pixelAdj, n int) bool {
 }
 
 // TestPixelGraphBoundedEdgeCases checks the bounded pixel graph against
-// the full-frame oracle, with and without junction removal and with and
-// without an arena (one arena reused across every case), on masks whose
+// the full-frame oracle, with and without junction removal and on a
+// fresh arena and on one arena reused across every case, on masks whose
 // foreground touches every edge and corner, spans the frame, or is
 // absent, and on their Zhang–Suen skeletons.
 func TestPixelGraphBoundedEdgeCases(t *testing.T) {
@@ -118,12 +118,12 @@ func TestPixelGraphBoundedEdgeCases(t *testing.T) {
 			}
 			for _, remove := range []bool{false, true} {
 				wantPts, wantAdj, wantRemoved := pixelGraphRef(in.b, remove)
-				for _, arena := range []*Scratch{nil, sc} {
+				for _, arena := range []*Scratch{new(Scratch), sc} {
 					pts, adj, removed := pixelGraph(in.b, arena, remove)
 					if !slices.Equal(pts, wantPts) || removed != wantRemoved ||
 						!slices.Equal(adj.deg, wantAdj.deg) || !sameAdjacency(adj, wantAdj, len(pts)) {
-						t.Errorf("%s (remove junctions %v, arena %v): pixel graph differs from the full-frame oracle",
-							in.name, remove, arena != nil)
+						t.Errorf("%s (remove junctions %v, reused arena %v): pixel graph differs from the full-frame oracle",
+							in.name, remove, arena == sc)
 					}
 				}
 			}

@@ -6,16 +6,19 @@
 // steady-state Build (and the Prune / key-point queries that follow it)
 // allocates nothing.
 //
-// Contract: a Scratch serves ONE worker at a time — it is not safe for
-// concurrent use, exactly like extract.Extractor's buffers. A *Graph
-// returned by BuildScratch, and every slice derived from it (PixelPath,
-// NodePath, MarkLargestComponent), is owned by the scratch and valid
-// only until the next BuildScratch call on the same Scratch; callers
-// that need a frame's graph to outlive the next frame must copy what
-// they keep. GetScratch/PutScratch recycle whole arenas through a
-// sync.Pool with the same pairing discipline as the imaging buffer pool
-// (policed by the pooldiscipline analyzer): after PutScratch the arena —
-// and any graph built from it — must not be touched again.
+// Every Graph lives inside a Scratch: BuildScratch builds into the
+// caller's arena, Build into a fresh one that the returned graph keeps
+// to itself. Contract: a Scratch serves ONE worker at a time — it is not
+// safe for concurrent use, exactly like extract.Extractor's buffers. A
+// *Graph returned by BuildScratch is owned by the scratch and valid only
+// until the next BuildScratch call on the same Scratch; callers that
+// need a frame's graph to outlive the next frame must copy what they
+// keep. The slices a graph's queries return (NodePath, PixelPath) are
+// likewise arena buffers, valid only until the graph's next path query.
+// GetScratch/PutScratch recycle whole arenas through a sync.Pool with
+// the same pairing discipline as the imaging buffer pool (policed by the
+// pooldiscipline analyzer): after PutScratch the arena — and any graph
+// built from it — must not be touched again.
 package skelgraph
 
 import (
@@ -25,8 +28,7 @@ import (
 )
 
 // Scratch is a per-worker frame arena for graph construction. The zero
-// value is ready to use; a nil *Scratch is accepted everywhere and means
-// "allocate fresh", which is exactly the pre-arena behaviour.
+// value is ready to use.
 type Scratch struct {
 	g Graph // the reused graph; Nodes/Segments slots keep their backing
 
@@ -90,9 +92,6 @@ func PutScratch(sc *Scratch) {
 //
 //slj:hotpath
 func (sc *Scratch) graph(w, h int) *Graph {
-	if sc == nil {
-		return &Graph{W: w, H: h} //slj:alloc-ok nil-scratch fallback for one-shot callers
-	}
 	g := &sc.g
 	g.W, g.H = w, h
 	g.Stats = BuildStats{}
@@ -128,23 +127,4 @@ func grabBytes(buf []uint8, n int) []uint8 {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// grabBools resizes buf to n false entries.
-func grabBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// newUF returns a union-find over n elements, reusing the arena's arrays
-// when the graph carries one.
-func (g *Graph) newUF(n int) *unionFind {
-	if g.scr != nil {
-		return g.scr.uf.reset(n)
-	}
-	return newUnionFind(n)
 }
