@@ -356,21 +356,27 @@ func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 
 // observeClip relabels the system's scope (and its extractor's) with the
 // clip name for the duration of one clip; the returned func restores the
-// parent scope. A System processes one clip at a time — the Engine pools
-// whole Systems rather than sharing one — so the swap is race-free: it
-// happens before any pipelined goroutines start and is undone after they
-// have all joined.
+// parent scope. A System processes one clip (or one range of a clip's
+// frames) at a time — the Engine pools whole Systems rather than sharing
+// one — so the swap is race-free.
 func (s *System) observeClip(name string) func() {
-	sc := s.opts.Scope
-	if sc == nil {
+	return s.useScope(s.opts.Scope.WithClip(name))
+}
+
+// useScope points the system's scope, and its extractor's, at sc until
+// the returned func restores the previous one. The Engine hands the
+// clip-labelled scope to the Systems it borrows for a clip's frame
+// ranges, so their spans and journal entries carry the clip's trace ID.
+func (s *System) useScope(sc *obs.Scope) func() {
+	prev := s.opts.Scope
+	if sc == prev {
 		return func() {}
 	}
-	labelled := sc.WithClip(name)
-	s.opts.Scope = labelled
-	s.extractor.SetScope(labelled)
+	s.opts.Scope = sc
+	s.extractor.SetScope(sc)
 	return func() {
-		s.opts.Scope = sc
-		s.extractor.SetScope(sc)
+		s.opts.Scope = prev
+		s.extractor.SetScope(prev)
 	}
 }
 
@@ -420,20 +426,55 @@ func (s *System) AnalyzeFrame(frame *imaging.RGB) (FrameAnalysis, error) {
 	return s.AnalyzeSilhouette(sil), nil
 }
 
-// analyzeClip runs the front end over every frame of a clip, honouring
-// the ground-truth-silhouette ablation and, when AutoOrient is on, the
-// jump-direction normalisation.
-func (s *System) analyzeClip(lc dataset.LabeledClip) ([]FrameAnalysis, error) {
+// eachSilhouette installs the clip background once, through
+// silhouetteSource, then hands the silhouettes of frames [lo, hi) to fn
+// one at a time, in frame order. fn must not keep the silhouette: an
+// extractor-owned one goes back to the imaging pool as soon as fn
+// returns, so at most one is live. Ground-truth masks are dataset-owned
+// and are never Put.
+func (s *System) eachSilhouette(lc dataset.LabeledClip, lo, hi int, fn func(i int, sil *imaging.Binary)) error {
+	src, err := s.silhouetteSource(lc)
+	if err != nil {
+		return err
+	}
+	owned := !s.opts.UseGroundTruthSilhouettes
+	for i := lo; i < hi; i++ {
+		sil, err := src(i)
+		if err != nil {
+			return err
+		}
+		fn(i, sil)
+		if owned {
+			imaging.PutBinary(sil)
+		}
+	}
+	return nil
+}
+
+// encodeFrames runs the front end over frames [lo, hi) of a clip and
+// stores frame i's Encoding in encs[i]. No state crosses frames before
+// the DBN — a frame's encoding depends only on the frame and the clip
+// background — so encoding a clip as several ranges, on several Systems,
+// gives exactly what one pass gives. Every clip path except AutoOrient's
+// runs this loop.
+func (s *System) encodeFrames(lc dataset.LabeledClip, encs []keypoint.Encoding, lo, hi int) error {
+	return s.eachSilhouette(lc, lo, hi, func(i int, sil *imaging.Binary) {
+		encs[i] = s.AnalyzeSilhouette(sil).Encoding
+	})
+}
+
+// orientedEncodings is encodeFrames over a whole clip under AutoOrient:
+// the mirror decision needs every silhouette first, so the clip's
+// silhouettes are all extracted before any is analysed.
+func (s *System) orientedEncodings(lc dataset.LabeledClip, encs []keypoint.Encoding) error {
 	sils, err := s.clipSilhouettes(lc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Silhouettes produced by the extractor ride the imaging pool and are
-	// returned once the clip's analyses are done. Ground-truth silhouettes
-	// are dataset-owned and must never be Put — but a FlipH copy is ours
-	// regardless of where its source came from.
+	// Ground-truth silhouettes are dataset-owned and must never be Put —
+	// but a FlipH copy is ours regardless of where its source came from.
 	owned := !s.opts.UseGroundTruthSilhouettes
-	if s.opts.AutoOrient && jumpGoesLeft(sils) {
+	if jumpGoesLeft(sils) {
 		for i, sil := range sils {
 			sils[i] = sil.FlipH()
 			if owned {
@@ -442,16 +483,30 @@ func (s *System) analyzeClip(lc dataset.LabeledClip) ([]FrameAnalysis, error) {
 		}
 		owned = true
 	}
-	out := make([]FrameAnalysis, 0, len(sils))
-	for _, sil := range sils {
-		out = append(out, s.AnalyzeSilhouette(sil))
-	}
-	if owned {
-		for _, sil := range sils {
+	for i, sil := range sils {
+		encs[i] = s.AnalyzeSilhouette(sil).Encoding
+		if owned {
 			imaging.PutBinary(sil)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// clipEncodings encodes every frame of a clip, honouring AutoOrient. A
+// failure is journaled under the System's scope, once per clip.
+func (s *System) clipEncodings(lc dataset.LabeledClip) ([]keypoint.Encoding, error) {
+	encs := make([]keypoint.Encoding, len(lc.Clip.Frames))
+	var err error
+	if s.opts.AutoOrient {
+		err = s.orientedEncodings(lc, encs)
+	} else {
+		err = s.encodeFrames(lc, encs, 0, len(encs))
+	}
+	if err != nil {
+		s.opts.Scope.RecordError(errClassOf(err), err)
+		return nil, err
+	}
+	return encs, nil
 }
 
 // clipFrame returns frame i of a clip. Materialised clips index their
@@ -486,16 +541,13 @@ func clipImage(lc dataset.LabeledClip, i int) (*imaging.RGB, error) {
 // silhouetteSource prepares per-frame silhouette production for a clip:
 // it installs the clip background (when extracting) and returns a closure
 // yielding frame i's silhouette. The closure reuses the System's
-// extractor, so it must be called from a single goroutine. Both the
-// batch path (clipSilhouettes) and the Engine's pipelined path drive it.
-// Streamed clips decode each frame as it is requested, overlapping disk
-// I/O with the downstream analysis stages.
+// extractor, so it must be called from a single goroutine. Streamed clips
+// decode each frame as it is requested. Failures are returned, not
+// journaled: the clip-level callers journal them once per clip.
 func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging.Binary, error), error) {
 	if !s.opts.UseGroundTruthSilhouettes {
 		if lc.Clip.Background == nil {
-			err := fmt.Errorf("slj: clip %s has no background frame: %w", lc.Name, ErrNoBackground)
-			s.opts.Scope.RecordError(obs.ErrClassIO, err)
-			return nil, err
+			return nil, fmt.Errorf("slj: clip %s has no background frame: %w", lc.Name, ErrNoBackground)
 		}
 		s.SetBackground(lc.Clip.Background)
 	}
@@ -503,26 +555,20 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 		if s.opts.UseGroundTruthSilhouettes {
 			fr, err := clipFrame(lc, i)
 			if err != nil {
-				s.opts.Scope.RecordError(errClassOf(err), err)
 				return nil, err
 			}
 			if fr.Silhouette == nil {
-				err := fmt.Errorf("slj: clip %s frame %d has no ground-truth silhouette", lc.Name, i)
-				s.opts.Scope.RecordError(obs.ErrClassIO, err)
-				return nil, err
+				return nil, fmt.Errorf("slj: clip %s frame %d has no ground-truth silhouette", lc.Name, i)
 			}
 			return fr.Silhouette, nil
 		}
 		img, err := clipImage(lc, i)
 		if err != nil {
-			s.opts.Scope.RecordError(errClassOf(err), err)
 			return nil, err
 		}
 		sil, err := s.extractor.Extract(img)
 		if err != nil {
-			err = fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
-			s.opts.Scope.RecordError(errClassOf(err), err)
-			return nil, err
+			return nil, fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
 		}
 		return sil, nil
 	}, nil
@@ -538,9 +584,9 @@ func (s *System) clipSilhouettes(lc dataset.LabeledClip) ([]*imaging.Binary, err
 	for i := range lc.Clip.Frames {
 		sil, err := src(i)
 		if err != nil {
-			// Same release rule as analyzeClip's success path: silhouettes
-			// already extracted for earlier frames are pool-owned and must
-			// not leak just because a later frame failed to decode.
+			// Silhouettes already extracted for earlier frames are
+			// pool-owned and must not leak just because a later frame
+			// failed to decode.
 			if !s.opts.UseGroundTruthSilhouettes {
 				for _, prev := range out {
 					imaging.PutBinary(prev)
@@ -575,18 +621,23 @@ func jumpGoesLeft(sils []*imaging.Binary) bool {
 // DBN bank (the paper's training phase).
 func (s *System) TrainClip(lc dataset.LabeledClip) error {
 	defer s.observeClip(lc.Name)()
-	fas, err := s.analyzeClip(lc)
+	encs, err := s.clipEncodings(lc)
 	if err != nil {
 		return err
 	}
-	frames := make([]dbn.LabeledFrame, len(fas))
-	for i, fa := range fas {
-		frames[i] = dbn.LabeledFrame{Label: lc.Clip.Frames[i].Label, Enc: fa.Encoding}
-	}
-	if err := s.classifier.TrainSequence(frames); err != nil {
+	if err := s.classifier.TrainSequence(labeledFrames(lc, encs)); err != nil {
 		return fmt.Errorf("slj: training on %s: %w", lc.Name, err)
 	}
 	return nil
+}
+
+// labeledFrames pairs a clip's ground-truth labels with its encodings.
+func labeledFrames(lc dataset.LabeledClip, encs []keypoint.Encoding) []dbn.LabeledFrame {
+	frames := make([]dbn.LabeledFrame, len(encs))
+	for i, enc := range encs {
+		frames[i] = dbn.LabeledFrame{Label: lc.Clip.Frames[i].Label, Enc: enc}
+	}
+	return frames
 }
 
 // Train trains on every clip. It is a thin adapter over TrainSource.
@@ -624,17 +675,18 @@ func (s *System) TrainSource(src dataset.ClipSource) error {
 // ClassifyClip decodes one clip into per-frame results.
 func (s *System) ClassifyClip(lc dataset.LabeledClip) ([]dbn.Result, error) {
 	defer s.observeClip(lc.Name)()
-	fas, err := s.analyzeClip(lc)
+	encs, err := s.clipEncodings(lc)
 	if err != nil {
 		return nil, err
 	}
-	encs := make([]keypoint.Encoding, len(fas))
-	for i, fa := range fas {
-		encs[i] = fa.Encoding
-	}
+	return s.classifyEncodings(lc.Name, encs)
+}
+
+// classifyEncodings runs the DBN over a clip's encodings in frame order.
+func (s *System) classifyEncodings(name string, encs []keypoint.Encoding) ([]dbn.Result, error) {
 	res, err := s.classifier.ClassifySequenceScoped(encs, s.opts.Scope)
 	if err != nil {
-		return nil, fmt.Errorf("slj: classifying %s: %w", lc.Name, err)
+		return nil, fmt.Errorf("slj: classifying %s: %w", name, err)
 	}
 	return res, nil
 }
@@ -646,13 +698,9 @@ func (s *System) ClassifyClip(lc dataset.LabeledClip) ([]dbn.Result, error) {
 // anticipates; experiment EXT3 compares it against the paper's greedy
 // decoder.
 func (s *System) ClassifyClipViterbi(lc dataset.LabeledClip) ([]pose.Pose, error) {
-	fas, err := s.analyzeClip(lc)
+	encs, err := s.clipEncodings(lc)
 	if err != nil {
 		return nil, err
-	}
-	encs := make([]keypoint.Encoding, len(fas))
-	for i, fa := range fas {
-		encs[i] = fa.Encoding
 	}
 	seq, err := s.classifier.DecodeViterbi(encs)
 	if err != nil {
@@ -666,31 +714,12 @@ func (s *System) ClassifyClipViterbi(lc dataset.LabeledClip) ([]pose.Pose, error
 // foot positions. The flight window is derived from the tracked foot
 // height (classifier-independent), so no training is required.
 func (s *System) MeasureJump(lc dataset.LabeledClip) (track.JumpMeasurement, error) {
-	if !s.opts.UseGroundTruthSilhouettes {
-		if lc.Clip.Background == nil {
-			return track.JumpMeasurement{}, fmt.Errorf("slj: clip %s has no background frame: %w", lc.Name, ErrNoBackground)
-		}
-		s.SetBackground(lc.Clip.Background)
-	}
 	tr := track.DefaultTracker()
-	for i := range lc.Clip.Frames {
-		var sil *imaging.Binary
-		if s.opts.UseGroundTruthSilhouettes {
-			fr, err := clipFrame(lc, i)
-			if err != nil {
-				return track.JumpMeasurement{}, err
-			}
-			sil = fr.Silhouette
-		} else {
-			img, err := clipImage(lc, i)
-			if err != nil {
-				return track.JumpMeasurement{}, err
-			}
-			if sil, err = s.extractor.Extract(img); err != nil {
-				return track.JumpMeasurement{}, fmt.Errorf("slj: frame %d: %w", i, err)
-			}
-		}
-		tr.Step(sil)
+	// Step keeps no reference to the silhouette, so each one can go back
+	// to the pool as soon as it has been tracked.
+	err := s.eachSilhouette(lc, 0, len(lc.Clip.Frames), func(_ int, sil *imaging.Binary) { tr.Step(sil) })
+	if err != nil {
+		return track.JumpMeasurement{}, err
 	}
 	m, err := tr.MeasureJump(tr.AirborneFlags(track.DefaultAirborneMargin))
 	if err != nil {

@@ -171,10 +171,10 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyClipPipelined measures the two-stage frame pipeline of
-// Engine.ClassifyClip (extraction overlapping skeleton analysis) against
-// the batch path.
-func BenchmarkClassifyClipPipelined(b *testing.B) {
+// BenchmarkEngineClassifyClip measures Engine.ClassifyClip, which splits
+// one clip's frames into contiguous ranges over the idle Systems of the
+// pool (one range at workers=1) and then decodes the DBN serially.
+func BenchmarkEngineClassifyClip(b *testing.B) {
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			eng, ds := benchTrainedEngine(b, w)

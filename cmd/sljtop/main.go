@@ -251,10 +251,8 @@ func render(v view, source string) string {
 	b.WriteString("\n")
 
 	// Worker pool / streaming occupancy.
-	fmt.Fprintf(&b, "workers     pool_free %d · clips_in_flight %d · workers_max %d · queue_max %d · stall %s\n",
-		gauges["engine.pool_free"], gauges["engine.clips_in_flight"],
-		counters["parallel.workers_max"], counters["parallel.queue_depth_max"],
-		obs.FormatNS(float64(counters["parallel.stall_ns"])))
+	fmt.Fprintf(&b, "workers     pool_free %d · clips_in_flight %d · workers_max %d\n",
+		gauges["engine.pool_free"], gauges["engine.clips_in_flight"], counters["parallel.workers_max"])
 	hits, misses := counters["imaging.pool.hits"], counters["imaging.pool.misses"]
 	if hits+misses > 0 {
 		fmt.Fprintf(&b, "pool        hit rate %.1f%% (%d hits, %d misses, %d double puts) %s\n",

@@ -16,7 +16,6 @@ func populatedRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Counter("pipeline.frames").Add(650)
 	reg.Counter("parallel.items").Add(10)
-	reg.Counter("parallel.stall_ns").Add(1_000_000)
 	reg.Counter("parallel.workers_max").Add(4)
 	reg.Counter("pipeline.decided.stage3").Add(9)
 	reg.Counter("pipeline.unknown.stage3").Add(1)

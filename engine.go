@@ -10,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dbn"
 	"repro/internal/extract"
-	"repro/internal/imaging"
 	"repro/internal/keypoint"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -101,23 +100,27 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) System() *System { return e.sys }
 
 // acquire checks a System out of the worker pool, timing any wait for a
-// free one; release returns it. Both track the pool's free count.
+// free one; tryAcquire takes one only if one is free now; release returns
+// it. All three keep the engine.pool_free gauge current.
 func (e *Engine) acquire() *System {
-	sc := e.scope
-	if sc == nil {
-		return <-e.free
-	}
-	select {
-	case s := <-e.free:
-		sc.PoolFree(len(e.free))
+	if s, ok := e.tryAcquire(); ok {
 		return s
-	default:
 	}
 	t0 := time.Now()
 	s := <-e.free
-	sc.AcquireStall(time.Since(t0))
-	sc.PoolFree(len(e.free))
+	e.scope.AcquireStall(time.Since(t0))
+	e.scope.PoolFree(len(e.free))
 	return s
+}
+
+func (e *Engine) tryAcquire() (*System, bool) {
+	select {
+	case s := <-e.free:
+		e.scope.PoolFree(len(e.free))
+		return s, true
+	default:
+		return nil, false
+	}
 }
 
 func (e *Engine) release(s *System) {
@@ -260,15 +263,11 @@ func (e *Engine) TrainSource(src dataset.ClipSource) error {
 			s := e.acquire()
 			defer e.release(s)
 			defer s.observeClip(lc.Name)()
-			fas, err := s.analyzeClip(lc)
+			encs, err := s.clipEncodings(lc)
 			if err != nil {
 				return clipSeq{}, err
 			}
-			frames := make([]dbn.LabeledFrame, len(fas))
-			for j, fa := range fas {
-				frames[j] = dbn.LabeledFrame{Label: lc.Clip.Frames[j].Label, Enc: fa.Encoding}
-			}
-			return clipSeq{name: lc.Name, frames: frames}, nil
+			return clipSeq{name: lc.Name, frames: labeledFrames(lc, encs)}, nil
 		})
 	if err != nil {
 		return err
@@ -389,19 +388,48 @@ func (e *Engine) CheckedOut() int64 { return e.inflight.Load() }
 // value behind the engine.pool_free gauge.
 func (e *Engine) PoolFree() int { return len(e.free) }
 
-// ClassifyClip decodes one clip. With more than one worker the per-frame
-// front end runs as a bounded two-stage pipeline (silhouette production,
-// then thinning + graph + encoding) so extraction of frame i+1 overlaps
-// analysis of frame i; DBN decoding stays serial. AutoOrient needs every
-// silhouette before its mirror decision, so it falls back to the batch
-// path.
+// ClassifyClip decodes one clip. It checks one System out of the pool,
+// waiting for it like every Engine method, then borrows idle Systems
+// without waiting, up to the worker count or one per frame. The frames
+// are split into contiguous ranges, one per System, and encoded
+// concurrently; each borrowed System goes back to the pool when the
+// ranges are done. The DBN then decodes the encodings serially, as
+// System.ClassifyClip does, so the results match it bit for bit. The
+// lowest failing range holds the first failing frame, so a failure
+// reports the error the sequential path would. AutoOrient's mirror
+// decision needs every silhouette first, so it runs System.ClassifyClip
+// on the one System.
 func (e *Engine) ClassifyClip(lc dataset.LabeledClip) ([]dbn.Result, error) {
 	s := e.acquire()
 	defer e.release(s)
-	if e.workers <= 1 || s.opts.AutoOrient {
+	if s.opts.AutoOrient {
 		return s.ClassifyClip(lc)
 	}
-	return s.classifyClipPipelined(lc)
+	defer s.observeClip(lc.Name)()
+	sc := s.opts.Scope
+	n := len(lc.Clip.Frames)
+	systems := []*System{s}
+	for len(systems) < min(e.workers, n) {
+		h, ok := e.tryAcquire()
+		if !ok {
+			break
+		}
+		systems = append(systems, h)
+	}
+	encs := make([]keypoint.Encoding, n)
+	k := len(systems)
+	err := parallel.ForEach(k, systems, func(j int, h *System) error {
+		defer h.useScope(sc)()
+		return h.encodeFrames(lc, encs, j*n/k, (j+1)*n/k)
+	})
+	for _, h := range systems[1:] {
+		e.release(h)
+	}
+	if err != nil {
+		sc.RecordError(errClassOf(err), err)
+		return nil, err
+	}
+	return s.classifyEncodings(lc.Name, encs)
 }
 
 // SaveModel serialises the shared classifier bank.
@@ -418,77 +446,4 @@ func (e *Engine) LoadModel(r io.Reader) error {
 		s.opts.Rings = e.sys.opts.Rings
 	}
 	return nil
-}
-
-// frameToken carries one frame through the two-stage analysis pipeline.
-type frameToken struct {
-	sil *imaging.Binary
-	fa  FrameAnalysis
-}
-
-// pipelineBound caps the frames in flight between pipeline stages,
-// bounding the number of live silhouette buffers per clip.
-const pipelineBound = 4
-
-// classifyClipPipelined is ClassifyClip with the per-frame front end run
-// as a bounded-channel pipeline. Stage 1 (silhouette production) is
-// stateful — the ROI tracker conditions on the previous frame — and runs
-// in a single goroutine in frame order, exactly like the batch path;
-// stage 2 (skeleton analysis) is pure per-frame. Outputs are collected in
-// frame order, so results match the sequential decoder bit for bit.
-func (s *System) classifyClipPipelined(lc dataset.LabeledClip) ([]dbn.Result, error) {
-	defer s.observeClip(lc.Name)()
-	src, err := s.silhouetteSource(lc)
-	if err != nil {
-		return nil, err
-	}
-	toks := make([]frameToken, len(lc.Clip.Frames))
-	out, err := parallel.Pipeline(pipelineBound, toks,
-		func(i int, t frameToken) (frameToken, error) {
-			sil, err := src(i)
-			if err != nil {
-				return t, err
-			}
-			t.sil = sil
-			return t, nil
-		},
-		func(_ int, t frameToken) (frameToken, error) {
-			t.fa = s.AnalyzeSilhouette(t.sil)
-			return t, nil
-		},
-	)
-	owned := !s.opts.UseGroundTruthSilhouettes
-	if err != nil {
-		// Pipeline returns partial results on error: every token that
-		// cleared both stages before the failure still carries its
-		// silhouette. Stage 1 runs in frame order, so no silhouette is
-		// produced past the failing index — releasing the partial set
-		// returns everything the extractor handed out for this clip.
-		if owned {
-			for _, t := range out {
-				if t.sil != nil {
-					imaging.PutBinary(t.sil)
-				}
-			}
-		}
-		return nil, err
-	}
-	encs := make([]keypoint.Encoding, len(out))
-	for i, t := range out {
-		encs[i] = t.fa.Encoding
-	}
-	if owned {
-		// All stages have joined and the encodings are copied out, so the
-		// extractor-produced silhouettes can go back to the imaging pool.
-		for _, t := range out {
-			if t.sil != nil {
-				imaging.PutBinary(t.sil)
-			}
-		}
-	}
-	res, err := s.classifier.ClassifySequenceScoped(encs, s.opts.Scope)
-	if err != nil {
-		return nil, fmt.Errorf("slj: classifying %s: %w", lc.Name, err)
-	}
-	return res, nil
 }

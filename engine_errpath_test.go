@@ -11,16 +11,18 @@ import (
 	"repro/internal/synth"
 )
 
-// TestPipelinedErrorReleasesPooledSilhouettes injects a mid-clip decode
-// failure into the Engine's pipelined classify path and asserts the
-// imaging pool stays get/put balanced: silhouettes extracted for the
-// frames before the corrupt one must go back to the pool even though
-// the clip as a whole failed. A long-lived server classifying corrupt
-// uploads would otherwise bleed the pool one clip at a time.
+// TestFrameParallelErrorReleasesPooledSilhouettes corrupts two frames
+// of a clip, one early and one late, and classifies it through the
+// Engine's frame fan-out. With contiguous ranges the two failures land
+// in different ranges, and the lowest range's error is reported: it must
+// read exactly as System.ClassifyClip's on the same clip. Every
+// silhouette extracted before a failure must go back to the imaging
+// pool, and every borrowed System to the engine pool. A long-lived
+// server classifying corrupt uploads would otherwise bleed both.
 //
 // The first (warm-up) run lets every lazily-acquired escaping buffer
 // settle; the second run must then be perfectly balanced.
-func TestPipelinedErrorReleasesPooledSilhouettes(t *testing.T) {
+func TestFrameParallelErrorReleasesPooledSilhouettes(t *testing.T) {
 	ds, err := GenerateDataset(dataset.GenOptions{
 		TrainClips: 1, TestClips: 1, Seed: 73, FaultEvery: 0, VaryBody: true,
 	})
@@ -28,12 +30,11 @@ func TestPipelinedErrorReleasesPooledSilhouettes(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := saveCorpus(t, ds)
-
-	// Garble a frame in the middle of the clip: frames 0 and 1 extract
-	// fine (their silhouettes come out of the pool), frame 2 fails.
-	victim := filepath.Join(root, "test", "test-00", "frame-002.ppm")
-	if err := os.WriteFile(victim, []byte("not a ppm"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, frame := range []string{"frame-002.ppm", "frame-030.ppm"} {
+		victim := filepath.Join(root, "test", "test-00", frame)
+		if err := os.WriteFile(victim, []byte("not a ppm"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	src := openSplit(t, root, "test")
@@ -42,22 +43,68 @@ func TestPipelinedErrorReleasesPooledSilhouettes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(lc.Clip.Frames); n <= 30 {
+		t.Fatalf("clip has %d frames, want more than 30", n)
+	}
 
-	// workers > 1 routes ClassifyClip through classifyClipPipelined.
-	eng, err := NewEngine(2)
+	sys, err := NewSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ClassifyClip(lc); err == nil {
+	_, want := sys.ClassifyClip(lc)
+	if want == nil {
 		t.Fatal("corrupt clip classified without error")
 	}
 
+	for _, workers := range []int{2, 8} {
+		eng, err := NewEngine(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.ClassifyClip(lc); err == nil {
+			t.Fatalf("workers=%d: corrupt clip classified without error", workers)
+		}
+
+		before := imaging.PoolBalance()
+		_, err = eng.ClassifyClip(lc)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, want)
+		}
+		if leaked := imaging.PoolBalance() - before; leaked != 0 {
+			t.Errorf("workers=%d: error path leaked %d pooled buffers (pool gets != puts across the failed clip)", workers, leaked)
+		}
+		if got := eng.PoolFree(); got != eng.Workers() {
+			t.Errorf("workers=%d: %d Systems free after the failed clip, want %d", workers, got, eng.Workers())
+		}
+		if got := eng.CheckedOut(); got != 0 {
+			t.Errorf("workers=%d: %d clips still checked out, want 0", workers, got)
+		}
+	}
+}
+
+// TestMeasureJumpReleasesPooledSilhouettes pins that MeasureJump returns
+// every silhouette the extractor hands it: a repeated measurement leaves
+// the imaging pool balance where it was.
+func TestMeasureJumpReleasesPooledSilhouettes(t *testing.T) {
+	ds, err := GenerateDataset(dataset.GenOptions{
+		TrainClips: 1, TestClips: 1, Seed: 73, FaultEvery: 0, VaryBody: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.MeasureJump(ds.Test[0]); err != nil {
+		t.Fatal(err)
+	}
 	before := imaging.PoolBalance()
-	if _, err := eng.ClassifyClip(lc); err == nil {
-		t.Fatal("corrupt clip classified without error")
+	if _, err := sys.MeasureJump(ds.Test[0]); err != nil {
+		t.Fatal(err)
 	}
 	if leaked := imaging.PoolBalance() - before; leaked != 0 {
-		t.Fatalf("pipelined error path leaked %d pooled buffers (pool gets != puts across the failed clip)", leaked)
+		t.Fatalf("MeasureJump leaked %d pooled buffers over a %d-frame clip", leaked, len(ds.Test[0].Clip.Frames))
 	}
 }
 

@@ -87,7 +87,7 @@ func TestEngineClassifyClipMatchesSequential(t *testing.T) {
 	}{
 		{"default", nil},
 		{"ground-truth-sils", []Option{WithGroundTruthSilhouettes(true)}},
-		{"auto-orient", []Option{WithAutoOrient(true)}}, // batch fallback path
+		{"auto-orient", []Option{WithAutoOrient(true)}}, // buffered single-System path
 	}
 	for _, v := range variants {
 		seq, err := NewSystem(v.opts...)
@@ -97,25 +97,31 @@ func TestEngineClassifyClipMatchesSequential(t *testing.T) {
 		if err := seq.LoadModel(bytes.NewReader(model)); err != nil {
 			t.Fatal(err)
 		}
-		lc := ds.Test[0]
-		want, err := seq.ClassifyClip(lc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			eng, err := NewEngine(workers, v.opts...)
+		// A clip shorter than the worker count: at workers 8 it gets
+		// one frame per System and leaves Systems unborrowed.
+		short := ds.Test[0]
+		short.Name += "-short"
+		short.Clip = &Clip{Background: short.Clip.Background, Frames: short.Clip.Frames[:3]}
+		for _, lc := range []LabeledClip{ds.Test[0], short} {
+			want, err := seq.ClassifyClip(lc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.LoadModel(bytes.NewReader(model)); err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.ClassifyClip(lc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s workers=%d: clip results differ from sequential", v.name, workers)
+			for _, workers := range []int{1, 2, 8} {
+				eng, err := NewEngine(workers, v.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.LoadModel(bytes.NewReader(model)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.ClassifyClip(lc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s workers=%d: clip results differ from sequential", v.name, lc.Name, workers)
+				}
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func TestFiltersMatchOracleOnClip(t *testing.T) {
 	}
 	ex.SetBackground(clip.Background)
 	var sc imaging.FilterScratch
-	var avg *imaging.RGB
+	avg := &imaging.RGB{}
 	med := &imaging.Binary{}
 	for i, fr := range clip.Frames {
 		avg = imaging.BoxAverageRGBInto(avg, fr.Image, extract.DefaultWindow, &sc)

@@ -103,20 +103,13 @@ func divide(x, m uint64) uint8 { return uint8(x * m >> 55) }
 // at most MaxBoxWindow. Windows are clipped at the border and averaged
 // over the in-bounds pixels, rounding half up: (sum + area/2) / area.
 func BoxAverageRGB(src *RGB, n int) *RGB {
-	return BoxAverageRGBInto(nil, src, n, nil)
+	return BoxAverageRGBInto(&RGB{}, src, n, &FilterScratch{})
 }
 
-// BoxAverageRGBInto is BoxAverageRGB writing into dst (resized as needed;
-// nil allocates) with sc as column-sum scratch (nil allocates). dst must
-// not alias src. It returns dst so a hot path can thread one destination
-// through successive frames.
+// BoxAverageRGBInto is BoxAverageRGB writing into dst (resized as needed)
+// with sc as column-sum scratch. dst must not alias src. It returns dst
+// so a hot path can thread one destination through successive frames.
 func BoxAverageRGBInto(dst *RGB, src *RGB, n int, sc *FilterScratch) *RGB {
-	if dst == nil {
-		dst = &RGB{}
-	}
-	if sc == nil {
-		sc = &FilterScratch{}
-	}
 	w, h := src.W, src.H
 	dst.W, dst.H = w, h
 	if need := 3 * w * h; cap(dst.Pix) < need { //slj:alloc-ok dst regrow on first use or a larger frame, amortised across frames
@@ -244,14 +237,14 @@ func (sc *FilterScratch) setRows(a, maxB int) {
 // it on the extracted silhouette (Figure 1(c)). Pixels whose window leaves
 // the image are computed over the in-bounds part of the window.
 func MedianFilterBinary(src *Binary, k int) *Binary {
-	return MedianFilterBinaryInto(nil, src, k, nil)
+	return MedianFilterBinaryInto(&Binary{}, src, k, &FilterScratch{})
 }
 
 // MedianFilterBinaryInto is MedianFilterBinary writing into dst, which is
-// resized as needed (nil allocates a fresh image) and may hold anything,
-// with sc as column-count scratch (nil allocates). dst must not alias
-// src. It returns dst, so hot paths can recycle one destination buffer
-// across frames instead of allocating per call.
+// resized as needed and may hold anything, with sc as column-count
+// scratch. dst must not alias src. It returns dst, so hot paths can
+// recycle one destination buffer across frames instead of allocating per
+// call.
 //
 // Only the rectangle around src's foreground bounds, grown by k/2 and
 // clipped to the image, is computed: every window outside it holds no
@@ -265,12 +258,6 @@ func MedianFilterBinary(src *Binary, k int) *Binary {
 func MedianFilterBinaryInto(dst *Binary, src *Binary, k int, sc *FilterScratch) *Binary {
 	if k < 1 || k%2 == 0 {
 		panic("imaging.MedianFilterBinary: kernel size must be odd and positive")
-	}
-	if dst == nil {
-		dst = &Binary{} //slj:alloc-ok nil-dst fallback for one-shot callers; hot callers pass a recycled dst
-	}
-	if sc == nil {
-		sc = &FilterScratch{}
 	}
 	w, h, r := src.W, src.H, k/2
 	dst.W, dst.H = w, h

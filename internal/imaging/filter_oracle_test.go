@@ -168,7 +168,7 @@ func TestDivideExact(t *testing.T) {
 func TestBoxAverageMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var sc FilterScratch
-	var dst *RGB
+	dst := &RGB{}
 	for i := 0; i < 10000; i++ {
 		w, h := oracleSide(r), oracleSide(r)
 		n := oracleWindows[i/10%len(oracleWindows)]

@@ -185,7 +185,7 @@ func TestBoxAverageRGBIntoMatchesAlloc(t *testing.T) {
 		src.Pix[i] = uint8((i*31 + 7) % 256)
 	}
 	want := BoxAverageRGB(src, 3)
-	var dst *RGB
+	dst := &RGB{}
 	var sc FilterScratch
 	// Run twice through the same scratch: the second pass must not be
 	// polluted by the first.

@@ -43,9 +43,6 @@ type RunReport struct {
 	FramesPerS float64 `json:"frames_per_s"`
 	ClipsPerS  float64 `json:"clips_per_s"`
 
-	// StallRatio is parallel.stall_ns over the run's wall time; values
-	// above the worker count mean the pipeline was mostly waiting.
-	StallRatio float64 `json:"stall_ratio"`
 	// PoolHitRate is imaging pool hits/(hits+misses) across the run.
 	PoolHitRate float64 `json:"pool_hit_rate"`
 
@@ -77,9 +74,6 @@ func BuildRunReport(snap Snapshot, wall time.Duration, generatedAt time.Time) Ru
 	if secs := wall.Seconds(); secs > 0 {
 		r.FramesPerS = float64(r.Frames) / secs
 		r.ClipsPerS = float64(r.Clips) / secs
-	}
-	if wall > 0 {
-		r.StallRatio = float64(counters["parallel.stall_ns"]) / float64(wall.Nanoseconds())
 	}
 	if hm := counters["imaging.pool.hits"] + counters["imaging.pool.misses"]; hm > 0 {
 		r.PoolHitRate = float64(counters["imaging.pool.hits"]) / float64(hm)
@@ -121,7 +115,7 @@ func (r RunReport) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(&b, "- wall time: %s\n", time.Duration(r.WallNS))
 	fmt.Fprintf(&b, "- frames: %d (%.1f frames/s)\n", r.Frames, r.FramesPerS)
 	fmt.Fprintf(&b, "- clips: %d (%.2f clips/s)\n", r.Clips, r.ClipsPerS)
-	fmt.Fprintf(&b, "- stall ratio: %.3f · pool hit rate: %.1f%%\n", r.StallRatio, 100*r.PoolHitRate)
+	fmt.Fprintf(&b, "- pool hit rate: %.1f%%\n", 100*r.PoolHitRate)
 	if r.Health != nil {
 		fmt.Fprintf(&b, "- health: **%s**\n", r.Health.Verdict)
 		for _, reason := range r.Health.Reasons {

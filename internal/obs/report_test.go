@@ -13,7 +13,6 @@ func sampleReportRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("pipeline.frames").Add(200)
 	reg.Counter("parallel.items").Add(20)
-	reg.Counter("parallel.stall_ns").Add(500_000_000)
 	reg.Counter("imaging.pool.hits").Add(90)
 	reg.Counter("imaging.pool.misses").Add(10)
 	reg.Gauge("engine.pool_free").Set(3)
@@ -37,9 +36,6 @@ func TestBuildRunReport(t *testing.T) {
 	}
 	if rep.Clips != 20 || rep.ClipsPerS != 2 {
 		t.Errorf("clips = %d @ %v/s, want 20 @ 2/s", rep.Clips, rep.ClipsPerS)
-	}
-	if rep.StallRatio != 0.05 {
-		t.Errorf("stall ratio = %v, want 0.05", rep.StallRatio)
 	}
 	if rep.PoolHitRate != 0.9 {
 		t.Errorf("pool hit rate = %v, want 0.9", rep.PoolHitRate)

@@ -45,14 +45,8 @@ const NumJumpStages = 4
 type ParallelStats struct {
 	// Items counts work items claimed across MapOrdered/ForEach calls.
 	Items Counter
-	// StallNS accumulates nanoseconds pipeline stages spent blocked on
-	// an empty input channel (downstream waiting for upstream).
-	StallNS Counter
 	// Workers is the high-water mark of concurrently running workers.
 	Workers Gauge
-	// QueueDepth is the high-water mark of buffered items in pipeline
-	// stage channels.
-	QueueDepth Gauge
 }
 
 // Scope is the handle pipeline layers thread through: it pre-resolves
@@ -133,9 +127,7 @@ func NewScope(reg *Registry) *Scope {
 		sc.unknown[i] = reg.Counter("pipeline.unknown." + suffix)
 	}
 	reg.RegisterFunc("parallel.items", sc.par.Items.Value)
-	reg.RegisterFunc("parallel.stall_ns", sc.par.StallNS.Value)
 	reg.RegisterFunc("parallel.workers_max", sc.par.Workers.Value)
-	reg.RegisterFunc("parallel.queue_depth_max", sc.par.QueueDepth.Value)
 	return sc
 }
 

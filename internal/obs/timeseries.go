@@ -79,7 +79,6 @@ type TimeSeries struct {
 //
 //	derived.frames_per_s   rate of pipeline.frames
 //	derived.clips_per_s    rate of parallel.items (work items claimed)
-//	derived.stall_ratio    parallel.stall_ns delta / wall interval
 //	derived.pool_hit_rate  imaging pool hits / (hits+misses) this interval
 //
 // Memory is bounded: window × series rings, no per-tick allocation
@@ -260,7 +259,6 @@ func (s *Sampler) sampleLocked(snap Snapshot, elapsed time.Duration) {
 
 	s.record("derived.frames_per_s", deltas["pipeline.frames"]/secs)
 	s.record("derived.clips_per_s", deltas["parallel.items"]/secs)
-	s.record("derived.stall_ratio", deltas["parallel.stall_ns"]/float64(elapsed.Nanoseconds()))
 	hits, misses := deltas["imaging.pool.hits"], deltas["imaging.pool.misses"]
 	hitRate := float64(0)
 	if hits+misses > 0 {

@@ -1,16 +1,15 @@
 // Package parallel provides the small concurrency substrate the pipeline
 // is parallelised with: a worker pool whose results come back in input
-// order (MapOrdered), its streaming counterpart over a pull source of
-// unknown length (MapSource) and a bounded-channel stage pipeline
-// (Pipeline).
+// order (MapOrdered, and ForEach for side effects) and its streaming
+// counterpart over a pull source of unknown length (MapSource). The
+// engine fans clips over MapSource and a served clip's frame ranges over
+// ForEach.
 //
-// Both primitives are deterministic by construction: MapOrdered returns
-// results indexed exactly like its input and, on failure, reports the
-// error of the LOWEST failing index (the error the sequential loop would
-// have hit first); Pipeline runs every stage as a single goroutine over a
-// FIFO channel, so items traverse stages strictly in order. Callers that
-// pass workers <= 1 get a plain inline loop — byte-identical behaviour to
-// the pre-parallel code path, with no goroutines spawned.
+// Both are deterministic by construction: results are indexed exactly
+// like the input and, on failure, the error of the LOWEST failing index
+// is returned (the error the sequential loop would have hit first).
+// Callers that pass workers <= 1 get a plain inline loop — byte-identical
+// behaviour to the pre-parallel code path, with no goroutines spawned.
 package parallel
 
 import (
@@ -83,8 +82,14 @@ func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) (R, err
 		go func() {
 			defer wg.Done()
 			for {
+				// Check for a failure before claiming: a claimed index
+				// always runs, so every index below the lowest failing
+				// one does, and that failure is the one reported.
+				if stop.Load() {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= len(items) || stop.Load() {
+				if i >= len(items) {
 					return
 				}
 				if st != nil {
@@ -223,114 +228,4 @@ func ForEach[T any](workers int, items []T, fn func(i int, item T) error) error 
 		return struct{}{}, fn(i, item)
 	})
 	return err
-}
-
-// token carries one item through a Pipeline together with its index.
-type token[T any] struct {
-	i int
-	v T
-}
-
-// Pipeline streams items through a chain of stages connected by bounded
-// channels of capacity `bound` (values < 1 are clamped to 1). Every stage
-// runs as ONE goroutine applying its function in item order, so stage k
-// can work on item i while stage k-1 is already on item i+1 — the stages
-// overlap in time, memory in flight is bounded by bound*len(stages)
-// items, and the output order (and therefore the result) is deterministic.
-//
-// On a stage error the pipeline drains and the error of the lowest item
-// index that failed in the EARLIEST stage to touch it is returned — the
-// error a sequential stage-by-stage loop would have hit first. The
-// results slice is still returned alongside the error: items that
-// traversed every stage before the failure keep their slot (items at or
-// past the failing index, and the failing item itself, are zero values).
-// Callers whose stage outputs own resources — pooled buffers, say —
-// must walk the partial results and release them; callers that only
-// want the values should ignore the slice when err != nil.
-func Pipeline[T any](bound int, items []T, stages ...func(i int, v T) (T, error)) ([]T, error) {
-	if len(stages) == 0 || len(items) == 0 {
-		out := make([]T, len(items))
-		copy(out, items)
-		return out, nil
-	}
-	if bound < 1 {
-		bound = 1
-	}
-
-	var (
-		mu     sync.Mutex
-		errIdx = -1
-		pipErr error
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, pipErr = i, err
-		}
-		mu.Unlock()
-	}
-
-	// Source feeds the first channel.
-	source := make(chan token[T], bound)
-	go func() {
-		defer close(source)
-		for i, v := range items {
-			source <- token[T]{i, v}
-		}
-	}()
-	in := source
-
-	// One goroutine per stage. A stage that sees an item index at or
-	// beyond a recorded error index skips the work (the result can no
-	// longer matter) but keeps draining so upstream stages never block.
-	// With stats installed the receive is routed through recv (stall
-	// attribution) and the input backlog's high-water mark is kept;
-	// neither changes item order or stage behaviour.
-	st := stats.Load()
-	if st != nil {
-		st.Workers.Max(int64(len(stages)))
-	}
-	for _, stage := range stages {
-		stage := stage
-		src := in
-		dst := make(chan token[T], bound)
-		go func() {
-			defer close(dst)
-			for {
-				var t token[T]
-				var ok bool
-				if st != nil {
-					st.QueueDepth.Max(int64(len(src)))
-					t, ok = recv(src, st)
-				} else {
-					t, ok = <-src
-				}
-				if !ok {
-					return
-				}
-				mu.Lock()
-				dead := errIdx >= 0 && t.i >= errIdx
-				mu.Unlock()
-				if dead {
-					continue
-				}
-				v, err := stage(t.i, t.v)
-				if err != nil {
-					fail(t.i, err)
-					continue
-				}
-				dst <- token[T]{t.i, v}
-			}
-		}()
-		in = dst
-	}
-
-	out := make([]T, len(items))
-	for t := range in {
-		out[t.i] = t.v
-	}
-	if errIdx >= 0 {
-		return out, pipErr
-	}
-	return out, nil
 }

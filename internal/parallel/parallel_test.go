@@ -227,121 +227,3 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("sum = %d", sum.Load())
 	}
 }
-
-func TestPipelineOrderAndOverlap(t *testing.T) {
-	items := make([]int, 64)
-	for i := range items {
-		items[i] = i
-	}
-	out, err := Pipeline(4, items,
-		func(_ int, v int) (int, error) { return v + 1, nil },
-		func(_ int, v int) (int, error) { return v * 2, nil },
-		func(_ int, v int) (int, error) { return v - 3, nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if want := (i+1)*2 - 3; v != want {
-			t.Fatalf("out[%d] = %d, want %d", i, v, want)
-		}
-	}
-}
-
-func TestPipelineNoStages(t *testing.T) {
-	out, err := Pipeline(2, []int{5, 6})
-	if err != nil || len(out) != 2 || out[0] != 5 || out[1] != 6 {
-		t.Fatalf("got %v, %v", out, err)
-	}
-}
-
-func TestPipelineError(t *testing.T) {
-	items := make([]int, 50)
-	out, err := Pipeline(2, items,
-		func(i int, v int) (int, error) {
-			if i == 30 {
-				return 0, errors.New("stage1 item 30")
-			}
-			return v, nil
-		},
-		func(i int, v int) (int, error) {
-			if i == 12 {
-				return 0, errors.New("stage2 item 12")
-			}
-			return v, nil
-		},
-	)
-	// Item 12 is the lowest failing index: its stage-2 error is what a
-	// sequential item-by-item run would have hit first.
-	if err == nil || err.Error() != "stage2 item 12" {
-		t.Fatalf("err = %v, want stage2 item 12", err)
-	}
-	// Partial results survive the error so callers can release resources
-	// owned by completed items: the slice keeps full length, every slot at
-	// or past the failing index is the zero value.
-	if len(out) != len(items) {
-		t.Fatalf("len(out) = %d, want %d", len(out), len(items))
-	}
-	for i := 12; i < len(out); i++ {
-		if out[i] != 0 {
-			t.Fatalf("out[%d] = %d, want zero at/after failing index", i, out[i])
-		}
-	}
-}
-
-func TestPipelineErrorPartialResults(t *testing.T) {
-	// Items that fully traversed every stage before the failure keep
-	// their slot — the caller can walk them to release owned resources.
-	items := make([]int, 20)
-	for i := range items {
-		items[i] = i
-	}
-	out, err := Pipeline(2, items,
-		func(i int, v int) (int, error) {
-			if i == 10 {
-				return 0, errors.New("boom")
-			}
-			return v + 100, nil
-		},
-	)
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(out) != len(items) {
-		t.Fatalf("len(out) = %d, want %d", len(out), len(items))
-	}
-	// Stage 1 is a single in-order goroutine, so items 0..9 completed and
-	// were emitted before the failure at index 10 was recorded.
-	for i := 0; i < 10; i++ {
-		if out[i] != i+100 {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], i+100)
-		}
-	}
-	for i := 10; i < len(out); i++ {
-		if out[i] != 0 {
-			t.Fatalf("out[%d] = %d, want zero", i, out[i])
-		}
-	}
-}
-
-func TestPipelineStatefulStage(t *testing.T) {
-	// A stage is a single goroutine, so per-stage state needs no locking
-	// and observes items strictly in order.
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = 1
-	}
-	running := 0
-	out, err := Pipeline(3, items, func(i int, v int) (int, error) {
-		running += v // cumulative sum: depends on strict ordering
-		return running, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i+1)
-		}
-	}
-}

@@ -2,12 +2,11 @@ package parallel
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// stats is the package-wide instrument block. MapOrdered/Pipeline are
+// stats is the package-wide instrument block. MapOrdered/MapSource are
 // free generic functions, so there is no receiver to hang a scope on;
 // instead the engine installs its scope's block once at construction.
 // A nil pointer (the default) keeps every hot loop on the exact
@@ -17,21 +16,6 @@ import (
 var stats atomic.Pointer[obs.ParallelStats]
 
 // SetStats installs (or, with nil, removes) the worker instrument
-// block. Not intended to be raced with in-flight MapOrdered/Pipeline
+// block. Not intended to be raced with in-flight MapOrdered/MapSource
 // calls — workers snapshot the pointer when they start.
 func SetStats(st *obs.ParallelStats) { stats.Store(st) }
-
-// recv receives from src, attributing blocked time to st.StallNS. Only
-// time actually spent blocked counts: when a token is ready the fast
-// select path returns without reading the clock.
-func recv[T any](src <-chan token[T], st *obs.ParallelStats) (token[T], bool) {
-	select {
-	case t, ok := <-src:
-		return t, ok
-	default:
-	}
-	t0 := time.Now()
-	t, ok := <-src
-	st.StallNS.Add(time.Since(t0).Nanoseconds())
-	return t, ok
-}

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -25,29 +24,5 @@ func TestMapOrderedCountsItems(t *testing.T) {
 	}
 	if st.Workers.Value() < 4 {
 		t.Errorf("worker high-water = %d, want >= 4", st.Workers.Value())
-	}
-}
-
-func TestPipelineStallAccounting(t *testing.T) {
-	st := &obs.ParallelStats{}
-	SetStats(st)
-	defer SetStats(nil)
-
-	// A slow first stage starves the second: the downstream stage must
-	// accumulate stall time while item order stays intact.
-	items := []int{0, 1, 2, 3}
-	slow := func(i int, v int) (int, error) { time.Sleep(2 * time.Millisecond); return v * 10, nil }
-	fast := func(i int, v int) (int, error) { return v + 1, nil }
-	out, err := Pipeline(2, items, slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*10+1 {
-			t.Errorf("out[%d] = %d, want %d", i, v, i*10+1)
-		}
-	}
-	if st.StallNS.Value() <= 0 {
-		t.Errorf("stall_ns = %d, want > 0 (fast stage starved by slow stage)", st.StallNS.Value())
 	}
 }

@@ -10,7 +10,11 @@
 //     budget is spent — or the SLO health verdict says the process is
 //     not ready — the server sheds load with 503 + Retry-After instead
 //     of queueing unboundedly: callers retry against a healthy replica
-//     rather than pile onto a sick one.
+//     rather than pile onto a sick one. classify-clip and score are
+//     charged one System. Engine.ClassifyClip may spread the clip's
+//     frames over more, but it borrows only Systems that are idle at
+//     that moment, never waits for one, and returns each when the
+//     clip's frame ranges are done.
 //   - Model registry. Engines are cached by the content hash of the
 //     serialized DBN bank, so switching models per request is one map
 //     lookup, not a deserialization.
