@@ -526,12 +526,13 @@ func clipFrame(lc dataset.LabeledClip, i int) (synth.Frame, error) {
 
 // clipImage returns frame i's image alone, the extraction path's input.
 // Unlike clipFrame it leaves a streamed clip's ground-truth silhouette
-// undecoded.
-func clipImage(lc dataset.LabeledClip, i int) (*imaging.RGB, error) {
+// undecoded, and it decodes into dst, so the image is valid only until
+// the next call with the same dst.
+func clipImage(lc dataset.LabeledClip, i int, dst *imaging.RGB) (*imaging.RGB, error) {
 	if lc.Reader == nil {
 		return lc.Clip.Frames[i].Image, nil
 	}
-	img, err := lc.Reader.ReadImage(i)
+	img, err := lc.Reader.ReadImage(i, dst)
 	if err != nil {
 		return nil, fmt.Errorf("slj: clip %s frame %d: %w", lc.Name, i, err)
 	}
@@ -542,8 +543,10 @@ func clipImage(lc dataset.LabeledClip, i int) (*imaging.RGB, error) {
 // it installs the clip background (when extracting) and returns a closure
 // yielding frame i's silhouette. The closure reuses the System's
 // extractor, so it must be called from a single goroutine. Streamed clips
-// decode each frame as it is requested. Failures are returned, not
-// journaled: the clip-level callers journal them once per clip.
+// decode each frame as it is requested, all into one image that lives as
+// long as the closure: the extractor needs a frame only until Extract
+// returns. Failures are returned, not journaled: the clip-level callers
+// journal them once per clip.
 func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging.Binary, error), error) {
 	if !s.opts.UseGroundTruthSilhouettes {
 		if lc.Clip.Background == nil {
@@ -551,6 +554,7 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 		}
 		s.SetBackground(lc.Clip.Background)
 	}
+	var frame imaging.RGB
 	return func(i int) (*imaging.Binary, error) {
 		if s.opts.UseGroundTruthSilhouettes {
 			fr, err := clipFrame(lc, i)
@@ -562,7 +566,7 @@ func (s *System) silhouetteSource(lc dataset.LabeledClip) (func(i int) (*imaging
 			}
 			return fr.Silhouette, nil
 		}
-		img, err := clipImage(lc, i)
+		img, err := clipImage(lc, i, &frame)
 		if err != nil {
 			return nil, err
 		}

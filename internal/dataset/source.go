@@ -243,13 +243,14 @@ func (r *ClipReader) NumFrames() int { return len(r.labels) }
 // Background returns the decoded clean backdrop frame.
 func (r *ClipReader) Background() *imaging.RGB { return r.bg }
 
-// ReadImage decodes frame i's RGB image only, leaving its ground-truth
+// ReadImage decodes frame i's RGB image only, into dst (its pixel
+// buffer is reused when large enough), leaving its ground-truth
 // silhouette on disk: the extraction path computes its own silhouette,
-// so it has no use for the saved one. Any open or decode failure is
-// ErrCorrupt.
-func (r *ClipReader) ReadImage(i int) (*imaging.RGB, error) {
+// so it has no use for the saved one, and needs the image only until it
+// has extracted it. Any open or decode failure is ErrCorrupt.
+func (r *ClipReader) ReadImage(i int, dst *imaging.RGB) (*imaging.RGB, error) {
 	t0 := time.Now() //slj:nondet-ok decode-latency metric, never encoded in artifacts
-	img, err := r.readImage(i)
+	img, err := r.readImage(i, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func (r *ClipReader) ReadImage(i int) (*imaging.RGB, error) {
 }
 
 // readImage is ReadImage without the decode timing.
-func (r *ClipReader) readImage(i int) (*imaging.RGB, error) {
+func (r *ClipReader) readImage(i int, dst *imaging.RGB) (*imaging.RGB, error) {
 	if i < 0 || i >= len(r.labels) {
 		return nil, fmt.Errorf("%w: %s: frame %d out of range [0,%d)", ErrCorrupt, r.name, i, len(r.labels))
 	}
@@ -266,7 +267,7 @@ func (r *ClipReader) readImage(i int) (*imaging.RGB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, r.name, err)
 	}
-	img, err := imaging.DecodePPM(ff)
+	img, err := imaging.DecodePPMInto(dst, ff)
 	ff.Close()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: frame %d: %v", ErrCorrupt, r.name, i, err)
@@ -281,7 +282,7 @@ func (r *ClipReader) readImage(i int) (*imaging.RGB, error) {
 // silently downgrade a ground-truth clip.
 func (r *ClipReader) ReadFrame(i int) (synth.Frame, error) {
 	t0 := time.Now() //slj:nondet-ok decode-latency metric, never encoded in artifacts
-	img, err := r.readImage(i)
+	img, err := r.readImage(i, &imaging.RGB{})
 	if err != nil {
 		return synth.Frame{}, err
 	}

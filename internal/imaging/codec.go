@@ -26,6 +26,13 @@ func EncodePPM(w io.Writer, m *RGB) error {
 
 // DecodePPM reads a binary PPM (P6) image from r.
 func DecodePPM(r io.Reader) (*RGB, error) {
+	return DecodePPMInto(&RGB{}, r)
+}
+
+// DecodePPMInto is DecodePPM decoding into dst, whose pixel buffer is
+// reused when it is large enough. It returns dst, so a reader can thread
+// one frame buffer through a clip instead of allocating a frame per call.
+func DecodePPMInto(dst *RGB, r io.Reader) (*RGB, error) {
 	br := bufio.NewReader(r)
 	w, h, maxv, err := readNetpbmHeader(br, "P6")
 	if err != nil {
@@ -34,11 +41,16 @@ func DecodePPM(r io.Reader) (*RGB, error) {
 	if maxv != 255 {
 		return nil, fmt.Errorf("imaging: decode ppm: unsupported maxval %d", maxv)
 	}
-	m := NewRGB(w, h)
-	if _, err := io.ReadFull(br, m.Pix); err != nil {
+	dst.W, dst.H = w, h
+	if n := 3 * w * h; cap(dst.Pix) < n {
+		dst.Pix = make([]uint8, n)
+	} else {
+		dst.Pix = dst.Pix[:n]
+	}
+	if _, err := io.ReadFull(br, dst.Pix); err != nil {
 		return nil, fmt.Errorf("imaging: decode ppm pixels: %w", err)
 	}
-	return m, nil
+	return dst, nil
 }
 
 // EncodePGM writes g to w in binary PGM (P5) format.

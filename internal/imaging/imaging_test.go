@@ -657,20 +657,33 @@ func TestPaintMask(t *testing.T) {
 
 func TestPPMRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	m := NewRGB(13, 7)
-	for i := range m.Pix {
-		m.Pix[i] = uint8(r.Intn(256))
-	}
-	var buf bytes.Buffer
-	if err := EncodePPM(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePPM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.W != m.W || got.H != m.H || !bytes.Equal(got.Pix, m.Pix) {
-		t.Fatal("PPM round trip mismatch")
+	// One dst threads through every size, growing and then shrinking,
+	// as a clip reader's frame buffer does.
+	reused := &RGB{}
+	for _, size := range [][2]int{{13, 7}, {20, 9}, {3, 2}} {
+		m := NewRGB(size[0], size[1])
+		for i := range m.Pix {
+			m.Pix[i] = uint8(r.Intn(256))
+		}
+		var buf bytes.Buffer
+		if err := EncodePPM(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		enc := buf.Bytes()
+		got, err := DecodePPM(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.W != m.W || got.H != m.H || !bytes.Equal(got.Pix, m.Pix) {
+			t.Fatalf("%dx%d: PPM round trip mismatch", m.W, m.H)
+		}
+		into, err := DecodePPMInto(reused, bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if into != reused || into.W != m.W || into.H != m.H || !bytes.Equal(into.Pix, m.Pix) {
+			t.Fatalf("%dx%d: PPM round trip into a reused image mismatch", m.W, m.H)
+		}
 	}
 }
 
