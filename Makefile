@@ -1,5 +1,11 @@
 # Convenience targets; everything is plain `go` underneath.
 
+# section prints one top-level section of a -report JSON file (the
+# encoder indents top-level keys by two spaces), so an assertion can
+# target the health or the errors section alone:
+# $(call section,health,RUN_REPORT.json).
+section = sed -n '/^  "$(1)": {/,/^  }/p' $(2)
+
 .PHONY: all build vet sljcheck lint lint-hotpath test race test-race bench bench-json bench-smoke bench-stream bench-gate bench-baseline report health-smoke serve-smoke paper-digest experiments figures fuzz clean
 
 all: build lint test
@@ -47,12 +53,12 @@ bench-json:
 	go test -bench . -benchmem -run '^$$' ./... | tee bench_output.txt | go run ./cmd/benchjson > BENCH_$$(date +%F).json
 
 # CI smoke: a single-iteration benchmark pass over the hot packages plus
-# a metrics snapshot from an instrumented mini evaluation. Produces
-# BENCH_smoke.json and metrics_snapshot.json for artifact upload.
+# a run report from an instrumented mini evaluation. Produces
+# BENCH_smoke.json and RUN_REPORT_smoke.json (+ .md) for artifact upload.
 bench-smoke:
 	go test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/parallel/ ./internal/thinning/ | tee bench_output.txt | go run ./cmd/benchjson > BENCH_smoke.json
 	go run ./cmd/sljgen -out smoke_data -train 2 -test 1
-	go run ./cmd/sljeval -data smoke_data -workers 4 -metrics-out metrics_snapshot.json > /dev/null
+	go run ./cmd/sljeval -data smoke_data -workers 4 -report RUN_REPORT_smoke.json > /dev/null
 	rm -rf smoke_data
 
 # Benchmark regression gate: run the per-stage hot-path benchmarks and
@@ -75,12 +81,13 @@ bench-baseline:
 bench-stream:
 	go test -bench BenchmarkStreamEvaluate -benchmem -benchtime 1x -run '^$$' . | tee bench_output.txt | go run ./cmd/benchjson > BENCH_stream.json
 	go run ./cmd/sljgen -out stream_data -train 2 -test 1
-	go run ./cmd/sljeval -data stream_data -stream -workers 4 -metrics-out metrics_stream.json > /dev/null
+	go run ./cmd/sljeval -data stream_data -stream -workers 4 -report RUN_REPORT_stream.json > /dev/null
 	rm -rf stream_data
 
-# End-of-run report + live dashboard smoke: run an instrumented mini
+# End-of-run report + dashboard smoke: run an instrumented mini
 # evaluation with the sampler on, render one sljtop frame against its
-# live /debug endpoints while the job is still running, and leave
+# live /debug endpoints while the job is still running, render the
+# finished run's report offline with sljtop -snapshot, and leave
 # RUN_REPORT.json + RUN_REPORT.md behind for artifact upload. Binaries
 # are prebuilt so sljtop's connect retries race the evaluation, not the
 # compiler.
@@ -89,38 +96,42 @@ report:
 	go build -o .report_bin/ ./cmd/sljeval ./cmd/sljtop
 	go run ./cmd/sljgen -out report_data -train 4 -test 6
 	./.report_bin/sljeval -data report_data -workers 4 -metrics 127.0.0.1:6070 \
-		-sample-interval 100ms -report RUN_REPORT.json \
-		-errors-out ERRORS.json -health-out HEALTH.json > /dev/null & \
+		-sample-interval 100ms -report RUN_REPORT.json > /dev/null & \
 	EVAL=$$!; \
-	./.report_bin/sljtop -addr 127.0.0.1:6070 -once -connect-timeout 10s | tee sljtop_once.txt; \
+	./.report_bin/sljtop -addr 127.0.0.1:6070 -once -connect-timeout 10s > sljtop_once.txt; \
 	TOP=$$?; \
+	cat sljtop_once.txt; \
 	wait $$EVAL; \
 	EV=$$?; \
+	./.report_bin/sljtop -snapshot RUN_REPORT.json > sljtop_report.txt; \
+	SNAP=$$?; \
 	rm -rf report_data .report_bin; \
-	test $$TOP -eq 0 && test $$EV -eq 0
+	test $$TOP -eq 0 && test $$EV -eq 0 && test $$SNAP -eq 0
 	grep -q "stage.classify.ns" sljtop_once.txt
+	grep -q "stage.classify.ns" sljtop_report.txt
 	test -s RUN_REPORT.json && test -s RUN_REPORT.md
-	test -s ERRORS.json && test -s HEALTH.json
-	grep -q '"verdict"' HEALTH.json
+	$(call section,errors,RUN_REPORT.json) | grep -q '"total"'
+	$(call section,health,RUN_REPORT.json) | grep -q '"verdict"'
 
 # Flight-recorder smoke: generate a corpus, corrupt one test clip, and
 # run an instrumented streaming evaluation with skip-corrupt ingest.
 # The run must finish, journal the decode failure, and report a
 # degraded health verdict with the decode class attributed — the same
-# trace ID correlating HEALTH_smoke.json and ERRORS_smoke.json.
+# trace ID correlating the health and errors sections of
+# RUN_REPORT_health.json.
 health-smoke:
 	go run ./cmd/sljgen -out health_data -train 2 -test 3
 	BAD=$$(ls -d health_data/test/*/ | head -1); \
 	echo "not a ppm" > $$BAD/background.ppm
 	go run ./cmd/sljeval -data health_data -stream -skip-corrupt -workers 2 \
 		-sample-interval 100ms -log health_smoke.log \
-		-errors-out ERRORS_smoke.json -health-out HEALTH_smoke.json > /dev/null
+		-report RUN_REPORT_health.json > /dev/null
 	rm -rf health_data
-	grep -q '"verdict": "degraded"' HEALTH_smoke.json
-	grep -q '"name": "decode_errors"' HEALTH_smoke.json
-	grep -q '"class": "decode"' ERRORS_smoke.json
-	TRACE=$$(grep -o '"trace": "t[0-9]*"' ERRORS_smoke.json | head -1); \
-	test -n "$$TRACE" && grep -qF "$$TRACE" HEALTH_smoke.json
+	$(call section,health,RUN_REPORT_health.json) | grep -q '"verdict": "degraded"'
+	$(call section,health,RUN_REPORT_health.json) | grep -q '"name": "decode_errors"'
+	$(call section,errors,RUN_REPORT_health.json) | grep -q '"class": "decode"'
+	TRACE=$$($(call section,errors,RUN_REPORT_health.json) | grep -o '"trace": "t[0-9]*"' | head -1); \
+	test -n "$$TRACE" && $(call section,health,RUN_REPORT_health.json) | grep -qF "$$TRACE"
 
 # Serving-layer smoke: start sljserve on an ephemeral port, drive it
 # with sljload, and assert the serving contract end to end — clean run
@@ -155,4 +166,4 @@ fuzz:
 	go test -fuzz FuzzLoad -fuzztime 10s ./internal/dbn/
 
 clean:
-	rm -rf figures/ results_full.txt sljcheck_findings.json test_output.txt bench_output.txt smoke_data BENCH_smoke.json BENCH_gate.json metrics_snapshot.json stream_data BENCH_stream.json metrics_stream.json report_data .report_bin RUN_REPORT.json RUN_REPORT.md sljtop_once.txt ERRORS.json HEALTH.json health_data ERRORS_smoke.json HEALTH_smoke.json health_smoke.log
+	rm -rf figures/ results_full.txt sljcheck_findings.json test_output.txt bench_output.txt smoke_data BENCH_smoke.json BENCH_gate.json RUN_REPORT_smoke.json RUN_REPORT_smoke.md stream_data BENCH_stream.json RUN_REPORT_stream.json RUN_REPORT_stream.md report_data .report_bin RUN_REPORT.json RUN_REPORT.md sljtop_once.txt sljtop_report.txt health_data RUN_REPORT_health.json RUN_REPORT_health.md health_smoke.log

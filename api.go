@@ -156,7 +156,7 @@ func WithGAConfig(cfg ga.Config) Option { return func(o *Options) { o.GA = cfg }
 
 // WithObservability attaches an observability scope (see internal/obs):
 // stage spans, health counters and — through the scope's registry —
-// expvar/JSON metric export. A nil scope is valid and means "off".
+// JSON/Prometheus metric export. A nil scope is valid and means "off".
 func WithObservability(sc *obs.Scope) Option { return func(o *Options) { o.Scope = sc } }
 
 // FrameAnalysis is everything the vision front end derives from a frame.
@@ -356,11 +356,21 @@ func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 
 // observeClip relabels the system's scope (and its extractor's) with the
 // clip name for the duration of one clip; the returned func restores the
-// parent scope. A System processes one clip (or one range of a clip's
-// frames) at a time — the Engine pools whole Systems rather than sharing
-// one — so the swap is race-free.
+// parent scope and counts the clip done (pipeline.clips). Every clip path
+// calls it once per clip, however many Systems share the clip's frames.
+// A System processes one clip (or one range of a clip's frames) at a
+// time — the Engine pools whole Systems rather than sharing one — so the
+// swap is race-free.
 func (s *System) observeClip(name string) func() {
-	return s.useScope(s.opts.Scope.WithClip(name))
+	if s.opts.Scope == nil {
+		return func() {}
+	}
+	sc := s.opts.Scope.WithClip(name)
+	restore := s.useScope(sc)
+	return func() {
+		restore()
+		sc.ClipDone()
+	}
 }
 
 // useScope points the system's scope, and its extractor's, at sc until

@@ -337,9 +337,10 @@ func BenchmarkStageFrameAnalysis(b *testing.B) {
 }
 
 // BenchmarkStageFrameAnalysisObserved measures the same front end with
-// the full flight recorder attached — registry, error journal, info-
-// level structured logger and span tracer on one shared sink — so the
-// bench gate bounds the per-frame cost of instrumentation being ON.
+// the full flight recorder attached — registry, error journal and a
+// debug-level structured logger, which writes every span as an event on
+// its sink — so the bench gate bounds the per-frame cost of
+// instrumentation being ON.
 // (The uninstrumented variant above pins the 0 allocs/op contract.)
 func BenchmarkStageFrameAnalysisObserved(b *testing.B) {
 	ds, err := dataset.Generate(dataset.GenOptions{TrainClips: 1, TestClips: 1, Seed: 9})
@@ -349,11 +350,7 @@ func BenchmarkStageFrameAnalysisObserved(b *testing.B) {
 	reg := obs.NewRegistry()
 	scope := obs.NewScope(reg)
 	scope.SetJournal(obs.NewJournal(reg, 256))
-	sink := obs.NewLineSink(io.Discard)
-	scope.SetLogger(obs.NewLogger(sink, slog.LevelInfo))
-	tracer := obs.NewTracerSink(sink)
-	scope.SetTracer(tracer)
-	defer tracer.Close()
+	scope.SetLogger(obs.NewLogger(obs.NewLineSink(io.Discard), slog.LevelDebug))
 	sys, err := slj.NewSystem(slj.WithObservability(scope.WithClip("bench")))
 	if err != nil {
 		b.Fatal(err)

@@ -44,7 +44,6 @@ func main() {
 		modelCache = flag.Int("model-cache", 4, "per-request model registry capacity (engines cached by content hash)")
 		drain      = flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown bound for in-flight requests")
 		sample     = flag.Duration("sample-interval", time.Second, "metrics sampling and health re-evaluation period")
-		window     = flag.Int("sample-window", 300, "time-series ring capacity in samples")
 		logPath    = flag.String("log", "", "structured JSONL event log: file path, or - for stderr (disabled when empty)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	)
@@ -56,7 +55,6 @@ func main() {
 
 	st, err := serve.NewStack(serve.StackConfig{
 		SampleInterval: *sample,
-		SampleWindow:   *window,
 		LogPath:        *logPath,
 		LogLevel:       *logLevel,
 	})

@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	sljtop -addr 127.0.0.1:6060            # live, refreshes every second
-//	sljtop -addr 127.0.0.1:6060 -once      # one frame, plain text (CI)
-//	sljtop -snapshot metrics_snapshot.json # offline, from -metrics-out
+//	sljtop -addr 127.0.0.1:6060        # live, refreshes every second
+//	sljtop -addr 127.0.0.1:6060 -once  # one frame, plain text (CI)
+//	sljtop -snapshot RUN_REPORT.json   # offline, from -report
 //
-// Live mode reads /debug/metrics (totals) and /debug/timeseries (the
+// Live mode reads /debug/metrics (totals), /debug/timeseries (the
 // sampler's ring buffers — enabled by default via -sample-interval on
-// the instrumented binaries). Snapshot mode renders totals only.
+// the instrumented binaries), /debug/health and /debug/errors. Snapshot
+// mode renders the same panels from a run report's final metrics,
+// health and errors sections, without sparklines.
 // -connect-timeout keeps -once useful in scripts that race the job's
 // start-up: sljtop retries until the endpoint answers or the timeout
 // expires.
@@ -56,7 +58,7 @@ func main() {
 
 	var (
 		addr     = flag.String("addr", "", "obs endpoint of the running job, host:port (the binary's -metrics address)")
-		snapshot = flag.String("snapshot", "", "render a -metrics-out JSON snapshot instead of polling a live job")
+		snapshot = flag.String("snapshot", "", "render a -report RUN_REPORT.json instead of polling a live job")
 		interval = flag.Duration("interval", time.Second, "refresh period in live mode")
 		once     = flag.Bool("once", false, "render one frame without terminal control sequences and exit (for CI/scripts)")
 		timeout  = flag.Duration("connect-timeout", 5*time.Second, "keep retrying the first fetch for this long before giving up")
@@ -69,11 +71,11 @@ func main() {
 	}
 
 	if *snapshot != "" {
-		snap, err := readSnapshotFile(*snapshot)
+		rep, err := obs.LoadRunReport(*snapshot)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(render(view{snap: snap}, *snapshot))
+		fmt.Print(render(reportView(rep), *snapshot))
 		return
 	}
 
@@ -161,16 +163,10 @@ func getJSON(client *http.Client, url string, into any, okStatuses ...int) error
 	return nil
 }
 
-func readSnapshotFile(path string) (obs.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return obs.Snapshot{}, fmt.Errorf("parsing snapshot %s: %w", path, err)
-	}
-	return snap, nil
+// reportView is the dashboard frame of a finished run: its report's
+// final metrics, health and errors sections.
+func reportView(rep obs.RunReport) view {
+	return view{snap: rep.Metrics, health: rep.Health, errs: rep.Errors}
 }
 
 // sparkline renders points as 8-level block characters, scaled to the
@@ -232,7 +228,7 @@ func render(v view, source string) string {
 	if haveFPS {
 		fmt.Fprintf(&b, " @ %.1f/s %s", fps, sparkSeries(ts, "derived.frames_per_s"))
 	}
-	fmt.Fprintf(&b, "\n            clips  %d", counters["parallel.items"])
+	fmt.Fprintf(&b, "\n            clips  %d", counters["pipeline.clips"])
 	if haveFPS {
 		fmt.Fprintf(&b, " @ %.2f/s %s", cps, sparkSeries(ts, "derived.clips_per_s"))
 	}

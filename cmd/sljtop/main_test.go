@@ -11,11 +11,18 @@ import (
 	"repro/internal/obs"
 )
 
-// populatedRegistry builds a registry shaped like a real run.
-func populatedRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
+// populatedStack builds an observability bundle whose registry is
+// shaped like a real run. Its sampler ticks only by hand.
+func populatedStack(t *testing.T) *obs.Stack {
+	t.Helper()
+	st, err := obs.NewStack(obs.StackConfig{SampleInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Stop() })
+	reg := st.Registry()
 	reg.Counter("pipeline.frames").Add(650)
-	reg.Counter("parallel.items").Add(10)
+	reg.Counter("pipeline.clips").Add(10)
 	reg.Counter("parallel.workers_max").Add(4)
 	reg.Counter("pipeline.decided.stage3").Add(9)
 	reg.Counter("pipeline.unknown.stage3").Add(1)
@@ -28,20 +35,25 @@ func populatedRegistry() *obs.Registry {
 			h.Observe(int64(50_000 + 1000*i))
 		}
 	}
-	return reg
+	return st
+}
+
+// degrade journals a decode error against ten streamed clips, which
+// breaches the decode_errors SLO on the next sampler tick.
+func degrade(st *obs.Stack) {
+	st.Registry().Counter("dataset.clips_streamed").Add(10)
+	st.Journal.Record(obs.ErrClassDecode, "t000042", "clip-bad", -1, "background: torn header")
+	st.Sampler.Tick()
 }
 
 // TestOnceAgainstLiveEndpoint starts a real obs server with a sampler
 // and checks that one fetch+render cycle — exactly what `sljtop -once`
 // does — produces the stage table and throughput lines.
 func TestOnceAgainstLiveEndpoint(t *testing.T) {
-	reg := populatedRegistry()
-	smp := obs.NewSampler(reg, time.Hour, 8) // ticked by hand below
-	smp.Start()
-	defer smp.Stop()
-	smp.Tick()
+	st := populatedStack(t)
+	st.Sampler.Tick()
 
-	srv, err := obs.Serve("127.0.0.1:0", reg, smp)
+	srv, err := obs.ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,24 +93,10 @@ func TestOnceAgainstLiveEndpoint(t *testing.T) {
 // decode error breaching the decode_errors SLO — and checks the sljtop
 // alert row and the errors row both show the journal's trace ID.
 func TestAlertsPanelCarriesTraceID(t *testing.T) {
-	reg := populatedRegistry()
-	reg.Counter("dataset.clips_streamed").Add(10)
-	journal := obs.NewJournal(reg, 64)
-	journal.Record(obs.ErrClassDecode, "t000042", "clip-bad", -1, "background: torn header")
+	st := populatedStack(t)
+	degrade(st)
 
-	smp := obs.NewSampler(reg, time.Hour, 8)
-	smp.Start()
-	defer smp.Stop()
-	health, err := obs.NewHealthEvaluator(reg, smp, journal, obs.DefaultSLOs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp.SetOnTick(health.Eval)
-	smp.Tick()
-
-	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal, Health: health,
-	})
+	srv, err := obs.ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +113,13 @@ func TestAlertsPanelCarriesTraceID(t *testing.T) {
 	if v.errs == nil {
 		t.Fatal("no error journal fetched")
 	}
-	out := render(v, srv.Addr())
+	checkAlerts(t, render(v, srv.Addr()))
+}
 
+// checkAlerts checks the panels of a degraded run: the alert row and
+// the errors row both show the journal's trace ID.
+func checkAlerts(t *testing.T, out string) {
+	t.Helper()
 	if !strings.Contains(out, "alerts") || !strings.Contains(out, "verdict degraded") {
 		t.Errorf("render missing degraded alerts panel:\n%s", out)
 	}
@@ -132,27 +135,31 @@ func TestAlertsPanelCarriesTraceID(t *testing.T) {
 	}
 }
 
-// TestSnapshotMode renders an offline -metrics-out file with no server.
+// TestSnapshotMode renders an offline -report file with no server: the
+// report's metrics, health and errors sections fill the same panels the
+// live mode does.
 func TestSnapshotMode(t *testing.T) {
-	reg := populatedRegistry()
-	path := filepath.Join(t.TempDir(), "metrics_snapshot.json")
+	st := populatedStack(t)
+	degrade(st)
+	path := filepath.Join(t.TempDir(), "RUN_REPORT.json")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := st.Report(10 * time.Second).WriteJSON(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	snap, err := readSnapshotFile(path)
+	rep, err := obs.LoadRunReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := render(view{snap: snap}, path)
-	for _, want := range []string{"frames 650", "stage.thin.ns"} {
+	out := render(reportView(rep), path)
+	checkAlerts(t, out)
+	for _, want := range []string{"frames 650", "clips  10", "stage.thin.ns"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot render missing %q:\n%s", want, out)
 		}

@@ -1,15 +1,16 @@
-// Command sljtrace converts a -spans JSONL span trace (written by the
-// instrumented binaries) into Chrome trace-event JSON that loads
-// directly in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
-// Each clip becomes its own named thread row; each stage span becomes a
-// complete ("X") event on that row.
+// Command sljtrace converts the span events of a JSONL event log (the
+// -log output of the instrumented binaries at -log-level debug) into
+// Chrome trace-event JSON that loads directly in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing. Each clip becomes its
+// own named thread row; each stage span becomes a complete ("X") event
+// on that row. Log lines that are not spans are skipped.
 //
 // Usage:
 //
-//	sljeval -spans spans.jsonl ...
-//	sljtrace spans.jsonl > trace.json
-//	sljtrace -out trace.json spans.jsonl
-//	sljtrace < spans.jsonl        # stdin → stdout
+//	sljeval -log events.jsonl -log-level debug ...
+//	sljtrace events.jsonl > trace.json
+//	sljtrace -out trace.json events.jsonl
+//	sljtrace < events.jsonl        # stdin → stdout
 package main
 
 import (
@@ -29,7 +30,7 @@ func main() {
 	out := flag.String("out", "", "write the trace-event JSON here instead of stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: sljtrace [-out trace.json] [spans.jsonl]\n\nconverts a -spans JSONL file (stdin when omitted) to Chrome trace-event JSON for Perfetto\n\n")
+			"usage: sljtrace [-out trace.json] [events.jsonl]\n\nconverts the span events of a debug-level -log JSONL file (stdin when omitted) to Chrome trace-event JSON for Perfetto\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -3,6 +3,7 @@ package slj
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -175,8 +176,8 @@ func TestEngineWorkersResolution(t *testing.T) {
 }
 
 // TestEngineObservedMatchesSequential pins the observability contract:
-// with a full scope attached — registry, health counters AND the JSONL
-// span tracer — engine results stay bit-identical to the uninstrumented
+// with a full scope attached — registry, health counters AND a debug-
+// level event log, so every span is a JSONL event — engine results stay bit-identical to the uninstrumented
 // sequential path at every worker count, while the instruments actually
 // record the work.
 func TestEngineObservedMatchesSequential(t *testing.T) {
@@ -189,8 +190,8 @@ func TestEngineObservedMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var spans bytes.Buffer
 		scope := obs.NewScope(obs.NewRegistry())
-		tracer := obs.NewTracer(&spans)
-		scope.SetTracer(tracer)
+		sink := obs.NewLineSink(&spans)
+		scope.SetLogger(obs.NewLogger(sink, slog.LevelDebug))
 		eng, err := NewEngine(workers, WithObservability(scope))
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +203,7 @@ func TestEngineObservedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tracer.Close(); err != nil {
+		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sum, wantSum) {
@@ -244,23 +245,29 @@ func TestEngineObservedMatchesSequential(t *testing.T) {
 			}
 		}
 
-		// Every span record is well-formed JSON labelled with a test clip.
-		lines := strings.Split(strings.TrimSpace(spans.String()), "\n")
-		if int64(len(lines)) < wantFrames {
-			t.Fatalf("workers=%d: %d span records, want >= %d", workers, len(lines), wantFrames)
-		}
-		for _, line := range lines {
+		// Every event is well-formed JSON, and every span event carries a
+		// stage and a test clip label.
+		spanLines := int64(0)
+		for _, line := range strings.Split(strings.TrimSpace(spans.String()), "\n") {
 			var rec struct {
+				Msg   string `json:"msg"`
 				Clip  string `json:"clip"`
 				Stage string `json:"stage"`
 				NS    int64  `json:"ns"`
 			}
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatalf("workers=%d: bad span record %q: %v", workers, line, err)
+				t.Fatalf("workers=%d: bad event %q: %v", workers, line, err)
 			}
+			if rec.Msg != "span" {
+				continue // a debug log event (dbn unknown, key-point miss)
+			}
+			spanLines++
 			if rec.Stage == "" || !strings.HasPrefix(rec.Clip, "test-") {
 				t.Fatalf("workers=%d: span record %q missing stage or clip label", workers, line)
 			}
+		}
+		if spanLines < wantFrames {
+			t.Fatalf("workers=%d: %d span records, want >= %d", workers, spanLines, wantFrames)
 		}
 	}
 }

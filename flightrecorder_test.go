@@ -3,7 +3,6 @@ package slj
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,36 +14,30 @@ import (
 	"repro/internal/obs"
 )
 
-// fullScope wires the complete flight-recorder stack the CLI assembles:
-// registry, journal, shared span+log sink, sampler and SLO health
-// evaluator. It returns the scope plus the pieces the tests assert on.
+// fullScope builds the complete flight-recorder bundle the CLI starts:
+// registry, journal, a debug-level event log carrying spans and log
+// events on one sink, sampler (ticked by hand) and SLO health
+// evaluator. It returns the scope plus the pieces the tests assert on;
+// stop appends the event log to logs.
 func fullScope(t *testing.T, logs *bytes.Buffer) (*obs.Scope, *obs.Journal, *obs.HealthEvaluator, *obs.Sampler, func()) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	scope := obs.NewScope(reg)
-	journal := obs.NewJournal(reg, 256)
-	scope.SetJournal(journal)
-	sink := obs.NewLineSink(logs)
-	scope.SetLogger(obs.NewLogger(sink, slog.LevelDebug))
-	tracer := obs.NewTracerSink(sink)
-	scope.SetTracer(tracer)
-	smp := obs.NewSampler(reg, time.Hour, 64)
-	smp.Start()
-	health, err := obs.NewHealthEvaluator(reg, smp, journal, obs.DefaultSLOs())
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	st, err := obs.NewStack(obs.StackConfig{SampleInterval: time.Hour, LogPath: path, LogLevel: "debug"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smp.SetOnTick(health.Eval)
 	stop := func() {
-		smp.Stop() // final tick runs the health eval hook
-		if err := tracer.Close(); err != nil {
+		st.Sampler.Stop() // final tick runs the health eval hook
+		if err := st.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.Flush(); err != nil {
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		logs.Write(data)
 	}
-	return scope, journal, health, smp, stop
+	return st.Scope, st.Journal, st.Health, st.Sampler, stop
 }
 
 // TestEngineLoggedMatchesSequential pins the flight-recorder contract:

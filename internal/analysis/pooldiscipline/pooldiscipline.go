@@ -1,6 +1,7 @@
 // Package pooldiscipline checks that every pooled object obtained from a
-// recognised sync.Pool Get helper — the imaging image pools
-// (GetBinary/GetGray/GetRGB) and the frame-arena pools
+// recognised sync.Pool Get helper — the imaging mask pool
+// (imaging.GetBinary; GetGray/GetRGB are recognised too, and exercised
+// by the fixture package) and the frame-arena pools
 // (skelgraph.GetScratch, keypoint.GetScratch) — is returned with the
 // matching Put* on some path through the same function, and that a
 // pooled object is never touched again after it has been Put.

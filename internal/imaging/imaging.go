@@ -119,10 +119,6 @@ func (r Rect) Intersect(s Rect) Rect {
 type Gray struct {
 	W, H int
 	Pix  []uint8
-	// pooled marks an image currently resident in the buffer pool; Put*
-	// uses it to turn a double Put into a no-op instead of an aliasing
-	// bug (see pool.go).
-	pooled bool
 }
 
 // NewGray allocates a zeroed w×h grayscale image.
@@ -165,9 +161,6 @@ func (g *Gray) Fill(v uint8) {
 type RGB struct {
 	W, H int
 	Pix  []uint8
-	// pooled marks an image currently resident in the buffer pool; see
-	// Gray.pooled.
-	pooled bool
 }
 
 // NewRGB allocates a zeroed (black) w×h colour image.
@@ -227,8 +220,9 @@ func (m *RGB) Gray() *Gray {
 type Binary struct {
 	W, H int
 	Pix  []uint8
-	// pooled marks an image currently resident in the buffer pool; see
-	// Gray.pooled.
+	// pooled marks an image currently resident in the buffer pool;
+	// PutBinary uses it to turn a double Put into a no-op instead of an
+	// aliasing bug (see pool.go).
 	pooled bool
 }
 

@@ -1,16 +1,18 @@
-// Buffer pooling. The per-frame pipeline allocates several full-frame
-// images per frame (averaged frames, raw masks, smoothing intermediates,
-// thinning work copies); at video rate that churns the allocator hard.
-// The Get/Put pairs below recycle those buffers through sync.Pools so the
-// steady-state hot path allocates (almost) nothing.
+// Buffer pooling. The per-frame pipeline needs several full-frame binary
+// masks per frame (raw masks, smoothing intermediates, thinning work
+// copies); at video rate that churns the allocator hard. GetBinary and
+// PutBinary recycle them through a sync.Pool so the steady-state hot
+// path allocates (almost) nothing. Colour and grey images are not
+// pooled: their callers own and reuse them (frame arenas, one decode
+// image per clip pass).
 //
-// Contract: Get* returns an image that is ZEROED and exactly w×h, exactly
-// like New*; Put* hands the buffer back for reuse. After Put the caller
-// must not touch the image again — the next Get may hand the same backing
-// slice to an unrelated frame. Putting an image that is still referenced
-// elsewhere is the classic aliasing bug; when in doubt, don't Put. Pooled
-// buffers that escape to callers are simply never returned, which is
-// always safe.
+// Contract: GetBinary returns an image that is ZEROED and exactly w×h,
+// like NewBinary; PutBinary hands the buffer back for reuse. After Put
+// the caller must not touch the image again — the next Get may hand the
+// same backing slice to an unrelated frame. Putting an image that is
+// still referenced elsewhere is the classic aliasing bug; when in doubt,
+// don't Put. Pooled buffers that escape to callers are simply never
+// returned, which is always safe.
 //
 // Two layers defend the contract. Statically, the pooldiscipline
 // analyzer (cmd/sljcheck, DESIGN.md §8) rejects Gets without a Put and
@@ -25,11 +27,7 @@ package imaging
 
 import "sync"
 
-var (
-	binaryPool = sync.Pool{New: func() any { return new(Binary) }}
-	grayPool   = sync.Pool{New: func() any { return new(Gray) }}
-	rgbPool    = sync.Pool{New: func() any { return new(RGB) }}
-)
+var binaryPool = sync.Pool{New: func() any { return new(Binary) }}
 
 // grab reslices buf to n zeroed elements, reallocating when the backing
 // capacity is too small.
@@ -73,70 +71,4 @@ func PutBinary(b *Binary) {
 	b.pooled = true
 	poolStats.Puts.Inc()
 	binaryPool.Put(b) //slj:alloc-ok sync.Pool round trip; boxing a pointer into any does not allocate
-}
-
-// GetGray returns a zeroed w×h grayscale image from the pool. Pair with
-// PutGray.
-//
-//slj:hotpath
-func GetGray(w, h int) *Gray {
-	if w <= 0 || h <= 0 {
-		panic("imaging.GetGray: non-positive dimensions")
-	}
-	g := grayPool.Get().(*Gray) //slj:alloc-ok sync.Pool round trip; Get allocates only while the pool is cold
-	countGet(g.Pix != nil)
-	g.pooled = false
-	g.W, g.H = w, h
-	g.Pix = grab(g.Pix, w*h)
-	return g
-}
-
-// PutGray returns a grayscale image to the pool. nil and double Puts are
-// ignored.
-//
-//slj:hotpath
-func PutGray(g *Gray) {
-	if g == nil {
-		return
-	}
-	if g.pooled {
-		poolStats.DoublePuts.Inc()
-		return
-	}
-	g.pooled = true
-	poolStats.Puts.Inc()
-	grayPool.Put(g) //slj:alloc-ok sync.Pool round trip; boxing a pointer into any does not allocate
-}
-
-// GetRGB returns a zeroed (black) w×h colour image from the pool. Pair
-// with PutRGB.
-//
-//slj:hotpath
-func GetRGB(w, h int) *RGB {
-	if w <= 0 || h <= 0 {
-		panic("imaging.GetRGB: non-positive dimensions")
-	}
-	m := rgbPool.Get().(*RGB) //slj:alloc-ok sync.Pool round trip; Get allocates only while the pool is cold
-	countGet(m.Pix != nil)
-	m.pooled = false
-	m.W, m.H = w, h
-	m.Pix = grab(m.Pix, 3*w*h)
-	return m
-}
-
-// PutRGB returns a colour image to the pool. nil and double Puts are
-// ignored.
-//
-//slj:hotpath
-func PutRGB(m *RGB) {
-	if m == nil {
-		return
-	}
-	if m.pooled {
-		poolStats.DoublePuts.Inc()
-		return
-	}
-	m.pooled = true
-	poolStats.Puts.Inc()
-	rgbPool.Put(m) //slj:alloc-ok sync.Pool round trip; boxing a pointer into any does not allocate
 }

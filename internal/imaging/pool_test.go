@@ -39,38 +39,8 @@ func TestPoolResizes(t *testing.T) {
 	PutBinary(small)
 }
 
-func TestGetRGBAndGrayZeroed(t *testing.T) {
-	m := GetRGB(5, 5)
-	for i := range m.Pix {
-		m.Pix[i] = 200
-	}
-	PutRGB(m)
-	m2 := GetRGB(5, 5)
-	for i, v := range m2.Pix {
-		if v != 0 {
-			t.Fatalf("rgb reuse not zeroed at %d", i)
-		}
-	}
-	PutRGB(m2)
-
-	g := GetGray(7, 3)
-	for i := range g.Pix {
-		g.Pix[i] = 9
-	}
-	PutGray(g)
-	g2 := GetGray(7, 3)
-	for i, v := range g2.Pix {
-		if v != 0 {
-			t.Fatalf("gray reuse not zeroed at %d", i)
-		}
-	}
-	PutGray(g2)
-}
-
 func TestPutNilIsNoop(t *testing.T) {
 	PutBinary(nil)
-	PutGray(nil)
-	PutRGB(nil)
 }
 
 // TestPutResizedBuffer returns a buffer whose caller mangled the
@@ -115,26 +85,6 @@ func TestDoublePutDoesNotAlias(t *testing.T) {
 	}
 	PutBinary(b1)
 	PutBinary(b2)
-
-	g := GetGray(3, 3)
-	PutGray(g)
-	PutGray(g)
-	g1, g2 := GetGray(3, 3), GetGray(3, 3)
-	if g1 == g2 {
-		t.Fatal("double PutGray issued the same *Gray twice")
-	}
-	PutGray(g1)
-	PutGray(g2)
-
-	m := GetRGB(3, 3)
-	PutRGB(m)
-	PutRGB(m)
-	m1, m2 := GetRGB(3, 3), GetRGB(3, 3)
-	if m1 == m2 {
-		t.Fatal("double PutRGB issued the same *RGB twice")
-	}
-	PutRGB(m1)
-	PutRGB(m2)
 }
 
 // TestGetUnderPoolPressure drains the pool by holding many buffers live
@@ -246,7 +196,7 @@ func TestCropIntoMatchesCrop(t *testing.T) {
 		NewRect(8, 8, 8, 9),     // empty
 	} {
 		want := src.Crop(r)
-		got := src.CropInto(GetRGB(1, 1), r)
+		got := src.CropInto(NewRGB(1, 1), r)
 		if got.W != want.W || got.H != want.H {
 			t.Fatalf("rect %v: got %dx%d want %dx%d", r, got.W, got.H, want.W, want.H)
 		}
@@ -255,7 +205,6 @@ func TestCropIntoMatchesCrop(t *testing.T) {
 				t.Fatalf("rect %v: pixel %d differs", r, i)
 			}
 		}
-		PutRGB(got)
 	}
 }
 
@@ -310,19 +259,4 @@ func TestPoolHitMissAccounting(t *testing.T) {
 	for _, b := range bufs[1:] {
 		PutBinary(b)
 	}
-
-	// Gray and RGB share the accounting path; spot-check one cycle each.
-	h0, m0, d0 = PoolCounters()
-	g := GetGray(4, 4)
-	PutGray(g)
-	g = GetGray(4, 4)
-	m := GetRGB(4, 4)
-	PutRGB(m)
-	m = GetRGB(4, 4)
-	hits, misses, _ = delta(h0, m0, d0)
-	if hits+misses != 4 || hits < 2 {
-		t.Errorf("gray/rgb cycle: hits=%d misses=%d, want 4 Gets with >=2 hits", hits, misses)
-	}
-	PutGray(g)
-	PutRGB(m)
 }

@@ -1,9 +1,10 @@
 // Health: the SLO evaluator and the run's admission-control verdict.
 // The evaluator rides the Sampler's tick (SetOnTick) so there is no
 // second timing goroutine; each tick re-evaluates every objective and
-// folds the worst level into one Verdict served at /debug/health and
-// exported as the slj_slo_* / slj_health_state Prometheus series.
-// Future sljserve admission control is one call: Health() == Ready.
+// folds the worst level into one Verdict served at /debug/health,
+// exported as the slj_slo_* / slj_health_state Prometheus series and
+// written to the run report. sljserve's admission control sheds new
+// work whenever the verdict is not ready.
 package obs
 
 import (
@@ -222,7 +223,7 @@ func (h *HealthEvaluator) Snapshot() HealthSnapshot {
 }
 
 // WriteJSON writes the current snapshot as indented JSON (the
-// /debug/health payload and the -health-out artifact).
+// /debug/health payload).
 func (h *HealthEvaluator) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

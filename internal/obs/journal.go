@@ -213,7 +213,7 @@ func (j *Journal) Snapshot() JournalSnapshot {
 }
 
 // WriteJSON writes the current snapshot as indented JSON (the
-// /debug/errors payload and the -errors-out artifact).
+// /debug/errors payload).
 func (j *Journal) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,8 +1,7 @@
 // Structured event logging: a deterministic JSONL slog.Handler over a
-// LineSink, the serialized line-oriented output path shared with the
-// span Tracer. One sink = one mutex = one interleaving-free stream, so
-// spans and log events can target the same file without tearing lines
-// across engine workers.
+// LineSink. At debug level pipeline spans are events on the same sink.
+// One sink = one mutex = one interleaving-free stream, so spans and log
+// events never tear lines across engine workers.
 package obs
 
 import (
@@ -12,7 +11,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,7 +18,7 @@ import (
 )
 
 // LineSink serialises whole-line writes from many goroutines into one
-// buffered stream. Producers (the span Tracer, the log Handler) format
+// buffered stream. Producers (log records and span events) format
 // directly into the sink's reused buffer between line/commit, so a
 // line costs no allocation beyond the buffered writer's amortised
 // growth and two lines never interleave.
@@ -39,15 +37,6 @@ func NewLineSink(w io.Writer) *LineSink {
 		s.c = c
 	}
 	return s
-}
-
-// OpenLineSink creates (truncates) a line-oriented file at path.
-func OpenLineSink(path string) (*LineSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: opening log file: %w", err)
-	}
-	return NewLineSink(f), nil
 }
 
 // line locks the sink and returns its reused buffer, empty. The caller
@@ -108,8 +97,8 @@ type LogOptions struct {
 //
 //	{"t_us":1000,"level":"INFO","msg":"run started","clip":"c1","trace":"t000001"}
 //
-// t_us is microseconds since the handler was built (same epoch scheme
-// as the span Tracer), attrs are flattened (group keys joined with
+// t_us is microseconds since the handler was built (span events use
+// the same epoch), attrs are flattened (group keys joined with
 // '.') and sorted by key, and every value renders through one fixed
 // formatting path — two runs with the same events and clock produce
 // identical bytes.
@@ -168,8 +157,8 @@ func (h *LogHandler) WithGroup(name string) slog.Handler {
 }
 
 // Handle implements slog.Handler. The line is hand-formatted into the
-// sink's reused buffer under its mutex, like Tracer.emit, so logs and
-// spans sharing a sink serialise through the same path.
+// sink's reused buffer under its mutex, like span, so logs and spans
+// serialise through the same path.
 func (h *LogHandler) Handle(_ context.Context, r slog.Record) error {
 	if h.sink == nil {
 		return nil
@@ -198,6 +187,35 @@ func (h *LogHandler) Handle(_ context.Context, r slog.Record) error {
 	b = append(b, '}', '\n')
 	h.sink.commit(b)
 	return nil
+}
+
+// span writes one span event, hand-formatted into the sink's reused
+// buffer so it allocates nothing:
+//
+//	{"t_us":12345678,"level":"DEBUG","msg":"span","clip":"train-03","ns":84125,"stage":"thin","trace":"t000007"}
+//
+// t_us is the span start on the handler's epoch; keys after msg are
+// sorted as in Handle. clip and trace are absent on unlabelled scopes.
+func (h *LogHandler) span(clip, trace string, st Stage, start time.Time, ns int64) {
+	b := h.sink.line()
+	b = append(b, `{"t_us":`...)
+	b = strconv.AppendInt(b, start.Sub(h.epoch).Microseconds(), 10)
+	b = append(b, `,"level":"DEBUG","msg":"span"`...)
+	if clip != "" {
+		b = append(b, `,"clip":`...)
+		b = strconv.AppendQuote(b, clip)
+	}
+	b = append(b, `,"ns":`...)
+	b = strconv.AppendInt(b, ns, 10)
+	b = append(b, `,"stage":"`...)
+	b = append(b, st.String()...)
+	b = append(b, '"')
+	if trace != "" {
+		b = append(b, `,"trace":`...)
+		b = strconv.AppendQuote(b, trace)
+	}
+	b = append(b, '}', '\n')
+	h.sink.commit(b)
 }
 
 // appendFlatAttr resolves a and appends it under prefix, expanding

@@ -121,16 +121,16 @@ func TestParseLogLevel(t *testing.T) {
 	}
 }
 
-// TestSharedSinkSpansAndLogsRace hammers one LineSink from the span
-// Tracer and the log Handler concurrently — 8 goroutines each emitting
-// both record kinds — and checks no line tore: every output line is a
-// complete, valid JSON object. Run under -race this is the regression
-// test for the shared serialized output path.
+// TestSharedSinkSpansAndLogsRace hammers one LineSink with span events
+// and log records concurrently — 8 goroutines each emitting both record
+// kinds — and checks no line tore: every output line is a complete,
+// valid JSON object. Run under -race this is the regression test for
+// the shared serialized output path.
 func TestSharedSinkSpansAndLogsRace(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewLineSink(&buf)
-	tracer := NewTracerSink(sink)
-	logger := NewLogger(sink, slog.LevelInfo)
+	h := NewLogHandler(sink, LogOptions{Level: slog.LevelDebug})
+	logger := slog.New(h)
 
 	const goroutines = 8
 	const perG = 200
@@ -142,15 +142,12 @@ func TestSharedSinkSpansAndLogsRace(t *testing.T) {
 			clip := fmt.Sprintf("clip-%d", g)
 			trace := fmt.Sprintf("t%06d", g+1)
 			for i := 0; i < perG; i++ {
-				tracer.emit(clip, trace, StageThin, time.Now(), int64(i))
+				h.span(clip, trace, StageThin, time.Now(), int64(i))
 				logger.Info("frame done", "clip", clip, "trace", trace, "frame", i)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := tracer.Close(); err != nil { // shared sink: flush only
-		t.Fatal(err)
-	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,17 @@
 // Package obs is the pipeline's stdlib-only observability layer: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms) with an expvar / JSON snapshot surface, a lightweight
-// span tracer that aggregates per-stage latencies and can stream a
-// JSONL trace file, and opt-in profiling hooks (net/http/pprof,
-// runtime/trace).
+// histograms) with a JSON snapshot and Prometheus exposition, per-stage
+// spans that feed latency histograms and, at debug log level, one
+// JSONL event each on the structured log, an error journal, a sampler
+// with SLO health on top, and one end-of-run report. Stack bootstraps
+// all of it; CLI wraps a Stack in the batch binaries' flags.
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Scope or *Tracer are no-ops, and the disabled path
-// allocates nothing. Pipeline code therefore threads a single
-// *Scope pointer unconditionally and pays only a nil check when
-// observability is off, preserving the engine's bit-identical
-// outputs and the per-frame allocation budget (DESIGN.md §9).
+// *Histogram or *Scope are no-ops, and the disabled path allocates
+// nothing. Pipeline code therefore threads a single *Scope pointer
+// unconditionally and pays only a nil check when observability is off,
+// preserving the engine's bit-identical outputs and the per-frame
+// allocation budget (DESIGN.md §9).
 package obs
 
 import "sync/atomic"

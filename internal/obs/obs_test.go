@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -137,19 +138,23 @@ func TestNilInstrumentsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledSpanZeroAlloc: even with a live scope (no tracer), the
-// span/counter hot path stays allocation-free — overhead is clock reads
-// and atomic adds only.
+// TestEnabledSpanZeroAlloc: with a live scope the span/counter hot path
+// stays allocation-free — overhead is clock reads and atomic adds only —
+// and so does writing each span as a debug event on the log sink.
 func TestEnabledSpanZeroAlloc(t *testing.T) {
 	sc := NewScope(NewRegistry())
-	allocs := testing.AllocsPerRun(100, func() {
-		sp := sc.Start(StageGraph)
-		sc.FrameDone()
-		sc.Decision(1, -1, false)
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Errorf("enabled span path allocates %.1f allocs/op, want 0", allocs)
+	spans := NewScope(NewRegistry())
+	spans.SetLogger(NewLogger(NewLineSink(io.Discard), slog.LevelDebug))
+	for name, sc := range map[string]*Scope{"no logger": sc, "debug span events": spans.WithClip("clip")} {
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := sc.Start(StageGraph)
+			sc.FrameDone()
+			sc.Decision(1, -1, false)
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: enabled span path allocates %.1f allocs/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -212,25 +217,34 @@ func TestRegistryFuncMetrics(t *testing.T) {
 	t.Error("func metric missing from snapshot")
 }
 
-func TestTracerJSONL(t *testing.T) {
+// TestSpanEventsJSONL: with a debug-level logger every ended span is one
+// DEBUG event on the log sink carrying the clip, trace, stage and
+// duration; at info level spans write nothing.
+func TestSpanEventsJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	sc := NewScope(NewRegistry()).WithClip(`clip "7"`)
-	sc.SetTracer(tr)
+	sink := NewLineSink(&buf)
+	root := NewScope(NewRegistry())
+	root.SetLogger(NewLogger(sink, slog.LevelInfo))
+	root.Start(StageDetect).End()
+	root.SetLogger(NewLogger(sink, slog.LevelDebug))
+	sc := root.WithClip(`clip "7"`)
 	sc.Start(StageThin).End()
 	sc.Start(StageClassify).End()
-	if err := tr.Close(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("got %d trace lines, want 2: %q", len(lines), buf.String())
+		t.Fatalf("got %d span lines, want 2 (none at info level): %q", len(lines), buf.String())
 	}
 	wantStages := []string{"thin", "classify"}
 	for i, line := range lines {
 		var rec struct {
 			TUS   int64  `json:"t_us"`
+			Level string `json:"level"`
+			Msg   string `json:"msg"`
 			Clip  string `json:"clip"`
+			Trace string `json:"trace"`
 			Stage string `json:"stage"`
 			NS    int64  `json:"ns"`
 		}
@@ -243,6 +257,9 @@ func TestTracerJSONL(t *testing.T) {
 		if rec.Clip != `clip "7"` {
 			t.Errorf("line %d clip = %q (quoting broken?)", i, rec.Clip)
 		}
+		if rec.Level != "DEBUG" || rec.Msg != "span" || rec.Trace != sc.TraceID() {
+			t.Errorf("line %d = %s, want a DEBUG span event with trace %s", i, line, sc.TraceID())
+		}
 		if rec.NS < 0 {
 			t.Errorf("line %d ns = %d, want >= 0", i, rec.NS)
 		}
@@ -250,36 +267,29 @@ func TestTracerJSONL(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("served.metric").Add(7)
-	srv, err := Serve("127.0.0.1:0", reg, nil)
+	st := testStack(t, StackConfig{SampleInterval: -1})
+	st.Registry().Counter("served.metric").Add(7)
+	srv, err := ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return string(body)
-	}
-	if body := get("/debug/metrics"); !strings.Contains(body, "served.metric") {
+	if body := mustGet(t, srv.Addr(), "/debug/metrics"); !strings.Contains(body, "served.metric") {
 		t.Errorf("/debug/metrics missing metric: %s", body)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "served.metric") {
-		t.Errorf("/debug/vars missing published registry: %s", body)
-	}
-	if body := get("/debug/pprof/cmdline"); body == "" {
+	if body := mustGet(t, srv.Addr(), "/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline returned nothing")
+	}
+	// Without a sampler there is no series and no verdict to serve.
+	for _, path := range []string{"/debug/timeseries", "/debug/health"} {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s without a sampler: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -166,18 +165,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("obs: encoding snapshot: %w", err)
 	}
 	return nil
-}
-
-// PublishExpvar exposes the registry under the given expvar name (the
-// standard /debug/vars page). Publishing the same name twice is a no-op
-// (expvar panics on duplicates, so the second registration is skipped).
-// No-op on a nil registry.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

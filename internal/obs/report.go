@@ -11,9 +11,10 @@ import (
 )
 
 // RunReportSchema versions the RUN_REPORT.json layout. Schema 2 added
-// the optional health and errors sections (older readers ignore them;
-// CompareRunReports never gates on them).
-const RunReportSchema = 2
+// the optional health and errors sections; schema 3 replaced the
+// counters/gauges copies with the whole registry snapshot under
+// "metrics". CompareRunReports gates only on stages and frames/s.
+const RunReportSchema = 3
 
 // StageQuantiles summarises one latency histogram in a run report. The
 // quantiles are computed from the registry's final histogram snapshot
@@ -29,10 +30,10 @@ type StageQuantiles struct {
 }
 
 // RunReport is the durable end-of-run summary CLI.Stop writes under
-// -report: wall time, throughput, per-stage latency quantiles, pool and
-// worker statistics, and every raw counter/gauge for drill-down. Two
-// reports from identical runs on the same machine differ only in
-// timings.
+// -report: wall time, throughput, per-stage latency quantiles, the
+// final registry snapshot, the health verdict and the error journal,
+// all from one snapshot taken at Stop. Two reports from identical runs
+// on the same machine differ only in timings.
 type RunReport struct {
 	Schema      int    `json:"schema"`
 	GeneratedAt string `json:"generated_at"` // RFC3339
@@ -46,31 +47,29 @@ type RunReport struct {
 	// PoolHitRate is imaging pool hits/(hits+misses) across the run.
 	PoolHitRate float64 `json:"pool_hit_rate"`
 
-	Stages   []StageQuantiles `json:"stages"`
-	Counters []MetricValue    `json:"counters"`
-	Gauges   []MetricValue    `json:"gauges"`
+	Stages  []StageQuantiles `json:"stages"`
+	Metrics Snapshot         `json:"metrics"`
 
-	// Health is the final SLO verdict and Errors the error-journal
-	// summary; both are attached by CLI.Stop when the subsystems ran.
+	// Health is the final SLO verdict (absent when sampling was off)
+	// and Errors the error-journal summary; Stack.Report attaches both.
 	Health *HealthSnapshot  `json:"health,omitempty"`
 	Errors *JournalSnapshot `json:"errors,omitempty"`
 }
 
 // BuildRunReport derives a report from a final registry snapshot and the
 // run's wall time. Every histogram in the snapshot contributes a
-// StageQuantiles row (sorted by name); counters and gauges are carried
+// StageQuantiles row (sorted by name); the snapshot itself is carried
 // through verbatim.
 func BuildRunReport(snap Snapshot, wall time.Duration, generatedAt time.Time) RunReport {
 	r := RunReport{
 		Schema:      RunReportSchema,
 		GeneratedAt: generatedAt.UTC().Format(time.RFC3339),
 		WallNS:      wall.Nanoseconds(),
-		Counters:    snap.Counters,
-		Gauges:      snap.Gauges,
+		Metrics:     snap,
 	}
 	counters := indexValues(snap.Counters)
 	r.Frames = counters["pipeline.frames"]
-	r.Clips = counters["parallel.items"]
+	r.Clips = counters["pipeline.clips"]
 	if secs := wall.Seconds(); secs > 0 {
 		r.FramesPerS = float64(r.Frames) / secs
 		r.ClipsPerS = float64(r.Clips) / secs
@@ -130,14 +129,14 @@ func (r RunReport) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|\n")
 	for _, s := range r.Stages {
 		fmt.Fprintf(&b, "| %s | %d | %s | %s | %s | %s |\n", s.Name, s.Count,
-			fmtNS(s.MeanNS), fmtNS(s.P50NS), fmtNS(s.P95NS), fmtNS(s.P99NS))
+			FormatNS(s.MeanNS), FormatNS(s.P50NS), FormatNS(s.P95NS), FormatNS(s.P99NS))
 	}
 	fmt.Fprintf(&b, "\n## Counters\n\n| name | value |\n|---|---:|\n")
-	for _, c := range r.Counters {
+	for _, c := range r.Metrics.Counters {
 		fmt.Fprintf(&b, "| %s | %d |\n", c.Name, c.Value)
 	}
 	fmt.Fprintf(&b, "\n## Gauges\n\n| name | value |\n|---|---:|\n")
-	for _, g := range r.Gauges {
+	for _, g := range r.Metrics.Gauges {
 		fmt.Fprintf(&b, "| %s | %d |\n", g.Name, g.Value)
 	}
 	if r.Errors != nil && len(r.Errors.Classes) > 0 {
@@ -156,9 +155,9 @@ func (r RunReport) WriteMarkdown(w io.Writer) error {
 	return nil
 }
 
-// fmtNS renders nanoseconds with an adaptive unit, for markdown and the
-// sljtop dashboard.
-func fmtNS(ns float64) string {
+// FormatNS renders nanoseconds with an adaptive unit, for markdown, SLO
+// reasons and the sljtop dashboard.
+func FormatNS(ns float64) string {
 	switch {
 	case ns <= 0:
 		return "0"
@@ -172,9 +171,6 @@ func fmtNS(ns float64) string {
 		return fmt.Sprintf("%.2fs", ns/1_000_000_000)
 	}
 }
-
-// FormatNS is fmtNS for external consumers (cmd/sljtop).
-func FormatNS(ns float64) string { return fmtNS(ns) }
 
 // LoadRunReport reads a report written by WriteJSON.
 func LoadRunReport(path string) (RunReport, error) {
@@ -221,7 +217,7 @@ func CompareRunReports(base, cur RunReport, nsPct, tputPct float64) []string {
 			if q.cur > limit {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s %s: %s > limit %s (baseline %s, +%.0f%%)",
-					s.Name, q.label, fmtNS(q.cur), fmtNS(limit), fmtNS(q.base), nsPct))
+					s.Name, q.label, FormatNS(q.cur), FormatNS(limit), FormatNS(q.base), nsPct))
 			}
 		}
 	}

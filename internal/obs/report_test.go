@@ -12,7 +12,7 @@ import (
 func sampleReportRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("pipeline.frames").Add(200)
-	reg.Counter("parallel.items").Add(20)
+	reg.Counter("pipeline.clips").Add(20)
 	reg.Counter("imaging.pool.hits").Add(90)
 	reg.Counter("imaging.pool.misses").Add(10)
 	reg.Gauge("engine.pool_free").Set(3)

@@ -56,10 +56,12 @@ type ParallelStats struct {
 // nothing.
 type Scope struct {
 	reg     *Registry
-	tracer  *Tracer
 	journal *Journal
 	logger  *slog.Logger
-	clip    string
+	// spans is the logger's handler when it logs at debug level: each
+	// ended span is then one event on its sink. nil keeps spans off.
+	spans *LogHandler
+	clip  string
 	// trace is the clip's correlation ID, minted by WithClip from the
 	// shared ids counter; spans, log lines and journal entries from
 	// this scope all carry it.
@@ -69,6 +71,7 @@ type Scope struct {
 	stageNS [numStages]*Histogram
 
 	frames     *Counter
+	clips      *Counter
 	graphFail  *Counter
 	pruned     *Counter
 	thinPasses *Counter
@@ -100,6 +103,7 @@ func NewScope(reg *Registry) *Scope {
 		reg:        reg,
 		ids:        new(atomic.Int64),
 		frames:     reg.Counter("pipeline.frames"),
+		clips:      reg.Counter("pipeline.clips"),
 		graphFail:  reg.Counter("pipeline.graph_fail"),
 		pruned:     reg.Counter("pipeline.pruned_branches"),
 		thinPasses: reg.Counter("pipeline.thin_passes"),
@@ -139,15 +143,6 @@ func (sc *Scope) Registry() *Registry {
 	return sc.reg
 }
 
-// SetTracer attaches a JSONL span tracer; nil detaches. Must be set
-// before the scope is shared across goroutines.
-func (sc *Scope) SetTracer(t *Tracer) {
-	if sc == nil {
-		return
-	}
-	sc.tracer = t
-}
-
 // SetJournal attaches the error journal classified failures are
 // recorded into; nil detaches. Must be set before the scope is shared
 // across goroutines.
@@ -158,22 +153,22 @@ func (sc *Scope) SetJournal(j *Journal) {
 	sc.journal = j
 }
 
-// Journal returns the attached error journal (nil when none).
-func (sc *Scope) Journal() *Journal {
-	if sc == nil {
-		return nil
-	}
-	return sc.journal
-}
-
 // SetLogger attaches a structured event logger; nil detaches. WithClip
 // children derive per-clip loggers carrying the clip and trace-ID
-// attrs. Must be set before the scope is shared across goroutines.
+// attrs. When l is a LogHandler logger at debug level, every ended span
+// is written to its sink as a DEBUG event too. Must be set before the
+// scope is shared across goroutines.
 func (sc *Scope) SetLogger(l *slog.Logger) {
 	if sc == nil {
 		return
 	}
-	sc.logger = l
+	sc.logger, sc.spans = l, nil
+	if l == nil {
+		return
+	}
+	if h, ok := l.Handler().(*LogHandler); ok && h.Enabled(context.Background(), slog.LevelDebug) {
+		sc.spans = h
+	}
 }
 
 // Logger returns the scope's event logger: the per-clip child on a
@@ -279,15 +274,16 @@ func (sc *Scope) Start(st Stage) Span {
 }
 
 // End stops the span: the elapsed time lands in the stage's latency
-// histogram and, when a tracer is attached, one JSONL record is emitted.
+// histogram and, when the logger is at debug level, one span event is
+// written to its sink.
 func (sp Span) End() {
 	if sp.sc == nil {
 		return
 	}
 	ns := time.Since(sp.t0).Nanoseconds()
 	sp.sc.stageNS[sp.st].Observe(ns)
-	if sp.sc.tracer != nil {
-		sp.sc.tracer.emit(sp.sc.clip, sp.sc.trace, sp.st, sp.t0, ns) //slj:alloc-ok tracing is opt-in; with no tracer attached this branch is never taken
+	if h := sp.sc.spans; h != nil {
+		h.span(sp.sc.clip, sp.sc.trace, sp.st, sp.t0, ns) //slj:alloc-ok span events are debug-level only; the sink's reused line buffer stops growing once it holds the longest line
 	}
 }
 
@@ -297,6 +293,15 @@ func (sc *Scope) FrameDone() {
 		return
 	}
 	sc.frames.Inc()
+}
+
+// ClipDone counts one clip through the pipeline, however many Systems
+// shared its frames.
+func (sc *Scope) ClipDone() {
+	if sc == nil {
+		return
+	}
+	sc.clips.Inc()
 }
 
 // GraphFail counts a silhouette whose skeleton graph could not be

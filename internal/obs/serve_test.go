@@ -10,6 +10,21 @@ import (
 	"time"
 )
 
+// testStack builds a bundle whose sampler ticks only by hand (or not at
+// all, with a negative interval) and stops it when the test ends.
+func testStack(t *testing.T, cfg StackConfig) *Stack {
+	t.Helper()
+	if cfg.SampleInterval == 0 {
+		cfg.SampleInterval = time.Hour
+	}
+	st, err := NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Stop() })
+	return st
+}
+
 func mustGet(t *testing.T, addr, path string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + path)
@@ -30,13 +45,13 @@ func mustGet(t *testing.T, addr, path string) string {
 // TestServePromAndTimeseries covers the two new consumption endpoints:
 // Prometheus text exposition and the sampler's JSON series.
 func TestServePromAndTimeseries(t *testing.T) {
-	reg := NewRegistry()
+	st := testStack(t, StackConfig{})
+	reg := st.Registry()
 	reg.Counter("served.metric").Add(7)
 	reg.Histogram("stage.thin.ns", []int64{10, 100}).Observe(50)
-	smp := NewSampler(reg, time.Second, 8)
-	smp.sample(reg.Snapshot(), time.Second)
+	st.Sampler.sample(reg.Snapshot(), time.Second)
 
-	srv, err := Serve("127.0.0.1:0", reg, smp)
+	srv, err := ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +73,9 @@ func TestServePromAndTimeseries(t *testing.T) {
 	if err := json.Unmarshal([]byte(mustGet(t, srv.Addr(), "/debug/timeseries")), &ts); err != nil {
 		t.Fatalf("/debug/timeseries invalid JSON: %v", err)
 	}
-	if ts.Ticks != 1 || len(ts.Series) == 0 {
-		t.Errorf("timeseries ticks=%d series=%d, want 1 tick and some series", ts.Ticks, len(ts.Series))
+	if ts.Ticks != 1 || len(ts.Series) == 0 || ts.Window != sampleWindow {
+		t.Errorf("timeseries ticks=%d series=%d window=%d, want 1 tick, some series and window %d",
+			ts.Ticks, len(ts.Series), ts.Window, sampleWindow)
 	}
 	if _, ok := ts.Latest("served.metric.rate"); !ok {
 		t.Error("served.metric.rate missing from /debug/timeseries")
@@ -72,7 +88,8 @@ func TestServePromAndTimeseries(t *testing.T) {
 // saw a truncated body. A slow pull metric keeps the handler busy while
 // Close runs; the scrape must still complete with valid, full JSON.
 func TestServeCloseWaitsForInFlightScrape(t *testing.T) {
-	reg := NewRegistry()
+	st := testStack(t, StackConfig{SampleInterval: -1})
+	reg := st.Registry()
 	reg.Counter("served.metric").Add(7)
 	entered := make(chan struct{})
 	reg.RegisterFunc("slow.metric", func() int64 {
@@ -80,7 +97,7 @@ func TestServeCloseWaitsForInFlightScrape(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		return 42
 	})
-	srv, err := Serve("127.0.0.1:0", reg, nil)
+	srv, err := ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,20 +155,13 @@ func TestServeCloseWaitsForInFlightScrape(t *testing.T) {
 // /debug/health serves the verdict — 200 while ready or degraded, 503
 // only once the process is failing its SLOs.
 func TestServeErrorsAndHealthEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	smp := NewSampler(reg, time.Hour, 8)
-	journal := NewJournal(reg, 32)
-	health, err := NewHealthEvaluator(reg, smp, journal, []SLOSpec{
+	st := testStack(t, StackConfig{SLOs: []SLOSpec{
 		{Name: "decode_errors", Kind: SLORatio, Bad: "errors.decode",
 			Total: "dataset.clips_streamed", Budget: 0.01,
 			FailingBurn: 2, Class: ErrClassDecode},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal, Health: health,
-	})
+	}})
+	reg, smp, journal, health := st.Registry(), st.Sampler, st.Journal, st.Health
+	srv, err := ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,21 +230,13 @@ func TestServeErrorsAndHealthEndpoints(t *testing.T) {
 // verdict after shutdown) and flush the log sink so the run's last
 // events are on disk before Close returns.
 func TestServeCloseStopsHealthAndFlushesLogs(t *testing.T) {
-	reg := NewRegistry()
-	smp := NewSampler(reg, time.Hour, 8)
-	journal := NewJournal(reg, 32)
-	health, err := NewHealthEvaluator(reg, smp, journal, DefaultSLOs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := testStack(t, StackConfig{})
+	reg, journal, health := st.Registry(), st.Journal, st.Health
 	var logBuf syncBuffer
-	sink := NewLineSink(&logBuf)
-	logger := NewLogger(sink, 0)
+	st.Sink = NewLineSink(&logBuf)
+	logger := NewLogger(st.Sink, 0)
 
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal,
-		Health: health, LogSink: sink,
-	})
+	srv, err := ServeWith("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}

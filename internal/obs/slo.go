@@ -170,7 +170,7 @@ func (s SLOSpec) Eval(ts TimeSeries, snap Snapshot) SLOState {
 		switch s.Kind {
 		case SLOQuantile:
 			st.Reason = fmt.Sprintf("%s %s %s over target %s (burn fast %.2f, slow %.2f)",
-				s.Metric, quantileSuffix(s.Quantile)[1:], fmtNS(st.Value), fmtNS(s.TargetNS), st.BurnFast, st.BurnSlow)
+				s.Metric, quantileSuffix(s.Quantile)[1:], FormatNS(st.Value), FormatNS(s.TargetNS), st.BurnFast, st.BurnSlow)
 		case SLORatio:
 			st.Reason = fmt.Sprintf("%s/%s ratio %.4f over budget %.4f (burn fast %.2f, slow %.2f)",
 				s.Bad, s.Total, st.Value, s.Budget, st.BurnFast, st.BurnSlow)

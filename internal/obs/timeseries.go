@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -78,7 +77,7 @@ type TimeSeries struct {
 // histogram-delta quantiles, and a few cross-metric conveniences —
 //
 //	derived.frames_per_s   rate of pipeline.frames
-//	derived.clips_per_s    rate of parallel.items (work items claimed)
+//	derived.clips_per_s    rate of pipeline.clips
 //	derived.pool_hit_rate  imaging pool hits / (hits+misses) this interval
 //
 // Memory is bounded: window × series rings, no per-tick allocation
@@ -258,7 +257,7 @@ func (s *Sampler) sampleLocked(snap Snapshot, elapsed time.Duration) {
 	}
 
 	s.record("derived.frames_per_s", deltas["pipeline.frames"]/secs)
-	s.record("derived.clips_per_s", deltas["parallel.items"]/secs)
+	s.record("derived.clips_per_s", deltas["pipeline.clips"]/secs)
 	hits, misses := deltas["imaging.pool.hits"], deltas["imaging.pool.misses"]
 	hitRate := float64(0)
 	if hits+misses > 0 {
@@ -306,14 +305,6 @@ func (s *Sampler) Series() TimeSeries {
 	return ts
 }
 
-// Interval returns the nominal sampling period (0 on a nil sampler).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // WriteJSON writes the current Series() view as indented JSON.
 func (s *Sampler) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -333,16 +324,4 @@ func (ts TimeSeries) Latest(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ByPrefix returns the series whose names start with prefix, preserving
-// the sorted order.
-func (ts TimeSeries) ByPrefix(prefix string) []Series {
-	var out []Series
-	for _, s := range ts.Series {
-		if strings.HasPrefix(s.Name, prefix) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

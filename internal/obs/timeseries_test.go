@@ -13,7 +13,7 @@ import (
 func TestSamplerDerivesRates(t *testing.T) {
 	reg := NewRegistry()
 	frames := reg.Counter("pipeline.frames")
-	items := reg.Counter("parallel.items")
+	clips := reg.Counter("pipeline.clips")
 	depth := reg.Gauge("engine.pool_free")
 	thin := reg.Histogram("stage.thin.ns", []int64{10, 100, 1000})
 
@@ -22,7 +22,7 @@ func TestSamplerDerivesRates(t *testing.T) {
 	s.sample(reg.Snapshot(), time.Second)
 
 	frames.Add(100)
-	items.Add(10)
+	clips.Add(10)
 	depth.Set(4)
 	thin.Observe(50)
 	thin.Observe(50)
@@ -45,7 +45,7 @@ func TestSamplerDerivesRates(t *testing.T) {
 	}
 	check("pipeline.frames.rate", 50) // 100 frames / 2 s
 	check("derived.frames_per_s", 50)
-	check("parallel.items.rate", 5)
+	check("pipeline.clips.rate", 5)
 	check("derived.clips_per_s", 5)
 	check("engine.pool_free", 4)
 	check("stage.thin.ns.rate", 1) // 2 observations / 2 s

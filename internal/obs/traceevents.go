@@ -8,7 +8,7 @@ import (
 	"strconv"
 )
 
-// spanRecord mirrors one Tracer JSONL line.
+// spanRecord holds the span fields of one event-log line.
 type spanRecord struct {
 	TUS   int64  `json:"t_us"`
 	Clip  string `json:"clip"`
@@ -17,14 +17,14 @@ type spanRecord struct {
 	NS    int64  `json:"ns"`
 }
 
-// WriteTraceEvents converts a span JSONL stream (the -spans output) into
-// Chrome trace-event JSON that opens directly in Perfetto or
-// chrome://tracing: each span becomes a complete ("ph":"X") event, and
-// each distinct clip becomes its own named thread row so overlapping
-// clip pipelines render as parallel tracks. Events stream through —
-// memory is bounded by the clip-name table, not the trace length. Blank
-// lines are skipped; a malformed line aborts with an error naming its
-// line number.
+// WriteTraceEvents converts the span events of a JSONL event log (the
+// -log output at -log-level debug) into Chrome trace-event JSON that
+// opens directly in Perfetto or chrome://tracing: each line with a
+// "stage" becomes a complete ("ph":"X") event, and each distinct clip
+// becomes its own named thread row so overlapping clip pipelines render
+// as parallel tracks. Other log lines are skipped. Events stream
+// through — memory is bounded by the clip-name table, not the log
+// length. A malformed line aborts with an error naming its line number.
 func WriteTraceEvents(r io.Reader, w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
@@ -54,6 +54,9 @@ func WriteTraceEvents(r io.Reader, w io.Writer) error {
 		var rec spanRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("obs: span line %d: %w", lineNo, err)
+		}
+		if rec.Stage == "" {
+			continue // a log event, not a span
 		}
 		tid, ok := tids[rec.Clip]
 		if !ok {

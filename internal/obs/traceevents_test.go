@@ -3,23 +3,29 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 )
 
-// TestWriteTraceEvents converts a span JSONL stream produced by the real
-// Tracer and checks the Chrome trace-event structure: valid JSON, one
-// complete event per span, one named thread row per clip.
+// TestWriteTraceEvents converts a debug-level event log written by real
+// scopes and checks the Chrome trace-event structure: valid JSON, one
+// complete event per span, one named thread row per clip, and the log
+// events that are not spans skipped.
 func TestWriteTraceEvents(t *testing.T) {
 	var spans bytes.Buffer
-	tr := NewTracer(&spans)
-	scA := NewScope(NewRegistry()).WithClip("clip-a")
-	scA.SetTracer(tr)
-	scB := scA.WithClip("clip-b")
+	sink := NewLineSink(&spans)
+	root := NewScope(NewRegistry())
+	root.SetLogger(NewLogger(sink, slog.LevelDebug))
+	root.Logger().Info("run started")
+	scA := root.WithClip("clip-a")
+	scB := root.WithClip("clip-b")
 	scA.Start(StageThin).End()
 	scB.Start(StageGraph).End()
+	scA.RecordError(ErrClassDecode, errors.New("torn header"))
 	scA.Start(StageClassify).End()
-	if err := tr.Close(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 

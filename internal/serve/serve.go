@@ -147,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/rpc", s.handleRPC)
-	obs.MountDebug(s.mux, cfg.Obs.ServeConfig())
+	obs.MountDebug(s.mux, cfg.Obs)
 	return s, nil
 }
 

@@ -15,6 +15,7 @@ import (
 
 	slj "repro"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -202,6 +203,44 @@ func TestClassifyClipGolden(t *testing.T) {
 	}
 }
 
+// TestServedClipCountsOnce: a served clip whose frames fan out over two
+// Systems is one clip in the run report, not one per frame range.
+func TestServedClipCountsOnce(t *testing.T) {
+	var model bytes.Buffer
+	if err := trainedEngine(t, 1, 41).SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStack(StackConfig{SampleInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Stop() }()
+	eng, err := slj.NewEngine(2, slj.WithObservability(st.Scope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t, Config{Engine: eng, Obs: st})
+	if rec := post(s, `{"method": "classify-clip", "params": {"synthetic": {"seed": 914}}}`); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200\n%s", rec.Code, rec.Body.String())
+	}
+	rep := obs.BuildRunReport(st.Registry().Snapshot(), time.Second, time.Now())
+	items := int64(0)
+	for _, c := range rep.Metrics.Counters {
+		if c.Name == "parallel.items" {
+			items = c.Value
+		}
+	}
+	if items < 2 {
+		t.Fatalf("parallel.items = %d: the clip's frames did not fan out over two Systems", items)
+	}
+	if rep.Clips != 1 || rep.ClipsPerS != 1 {
+		t.Errorf("report clips = %d (%v/s), want 1 served clip", rep.Clips, rep.ClipsPerS)
+	}
+}
+
 // TestScoreAndEvaluateOverHTTP exercises the other two registry methods
 // end to end against an on-disk corpus under DataRoot.
 func TestScoreAndEvaluateOverHTTP(t *testing.T) {
@@ -384,7 +423,7 @@ func TestModelRegistry(t *testing.T) {
 // with 200) while new arrivals during the drain are shed.
 func TestGracefulClose(t *testing.T) {
 	eng := trainedEngine(t, 2, 67)
-	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
+	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +499,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestDebugEndpointsMounted: the obs surface rides the same mux.
 func TestDebugEndpointsMounted(t *testing.T) {
-	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
+	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
